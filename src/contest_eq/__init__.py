@@ -4,17 +4,17 @@ from .distributions import (BudgetExceeded, Custom, Mixture, NonFiniteIntegrand,
                             Normal, OutOfRange, Quadrature, ScalarDistribution,
                             DEFAULT_QUADRATURE, FAST_QUADRATURE, integrate)
 from .core import (ALWAYS_SUBMIT, NEVER_SUBMIT, BracketFailure, ModelParams,
-                   ProfileComponent, SubmissionProfile, SuccessEvaluation,
+                   NoExclusion, ProfileComponent, RejectionExclusion,
+                   SignalExclusion, SubmissionProfile, SuccessEvaluation,
                    TypeMix, ban_mass, evaluate_success, lifetime_payoff,
-                   lifetime_payoff_general, lifetime_payoff_multi,
-                   lifetime_payoff_typed, normal_model, signal_cutoff,
-                   truncated_profile, welfare, win_mass, win_prob)
-from .equilibria import (EquilibriumOutcome, NoConvergence, NoExclusion, NoRoot,
-                         RejectionExclusion, SignalExclusion, best_response,
-                         equilibrium_curves, solve_benchmark, solve_exclusion,
-                         solve_multi_period, solve_signal_cutoff,
-                         solve_two_type, steady_state_eligibility,
-                         steady_state_profile, type_eligibility_shares)
+                   normal_model, signal_cutoff, truncated_profile, welfare,
+                   win_mass)
+from .equilibria import (EquilibriumOutcome, NoConvergence, NoRoot,
+                         best_response, equilibrium_curves, solve_benchmark,
+                         solve_exclusion, solve_multi_period,
+                         solve_signal_cutoff, solve_two_type,
+                         steady_state_eligibility, steady_state_profile,
+                         type_eligibility_shares)
 from .analysis import (DominanceReport, HypothesisUnmet, SweepEntry,
                        WinnerDensity, compare_winners, first_best, sweep,
                        winner_density)

@@ -13,11 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import evaluate_success, truncated_profile
-from .distributions import FAST_QUADRATURE
-from .equilibria import (NoExclusion, RejectionExclusion, SignalExclusion,
-                         solve_benchmark, solve_multi_period,
-                         solve_signal_cutoff)
+from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
+                   evaluate_success, truncated_profile)
+from .distributions import BudgetExceeded, FAST_QUADRATURE, NonFiniteIntegrand
+from .equilibria import NoConvergence, NoRoot, solve_benchmark
+
+# what a sweep records inline; anything else is a programming error
+_SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, BudgetExceeded,
+                  NonFiniteIntegrand, ValueError)
 
 
 class HypothesisUnmet(RuntimeError):
@@ -212,12 +215,14 @@ class SweepEntry:
     error: str | None = None
 
 
-def sweep(params, axis, values, regime=None, quad=FAST_QUADRATURE, **kwargs):
+def sweep(params, axis, values, regime=None, quad=FAST_QUADRATURE):
     """Solve one equilibrium per value of a model or policy knob.
 
-    axis is one of "V", "C", "k", "delta" (model scalars), "t" (ban length,
-    rejection-exclusion regime) or "sbar_ban" (signal regime).  Failures are
-    recorded inline instead of aborting the sweep.
+    axis is one of "V", "C", "k", "delta" (model scalars, solved under the
+    policy `regime`, free entry by default), "t" (ban length,
+    rejection-exclusion regime) or "sbar_ban" (signal regime).  Solver
+    failures and invalid values are recorded inline instead of aborting the
+    sweep.
     """
     field = {"V": "win_value", "C": "reject_cost", "k": "budget",
              "delta": "discount"}.get(axis)
@@ -228,22 +233,13 @@ def sweep(params, axis, values, regime=None, quad=FAST_QUADRATURE, **kwargs):
         try:
             if field is not None:
                 p = dataclasses.replace(params, **{field: float(v)})
-                out = _solve_for(p, regime, quad, **kwargs)
+                out = solve_benchmark(p, quad) if regime is None \
+                    else regime.solve(p, quad)
             elif axis == "t":
-                out = solve_multi_period(params, int(v), quad)
+                out = RejectionExclusion(int(v)).solve(params, quad)
             else:
-                out = solve_signal_cutoff(params, float(v), quad)
+                out = SignalExclusion(float(v)).solve(params, quad)
             entries.append(SweepEntry(value=float(v), outcome=out))
-        except Exception as exc:  # failures recorded inline
+        except _SOLVER_ERRORS as exc:
             entries.append(SweepEntry(value=float(v), error=str(exc)))
     return entries
-
-
-def _solve_for(params, regime, quad, **kwargs):
-    if regime is None or isinstance(regime, NoExclusion):
-        return solve_benchmark(params, quad)
-    if isinstance(regime, RejectionExclusion):
-        return solve_multi_period(params, regime.periods, quad)
-    if isinstance(regime, SignalExclusion):
-        return solve_signal_cutoff(params, regime.sbar, quad)
-    raise ValueError(f"unknown regime: {regime!r}")

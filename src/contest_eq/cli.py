@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import compare_winners, first_best, sweep, winner_density
-from .core import ModelParams, TypeMix, normal_model
+from .core import (ModelParams, NoExclusion, RejectionExclusion,
+                   SignalExclusion, TypeMix, normal_model)
 from .distributions import FAST_QUADRATURE, Normal
-from .equilibria import (NoExclusion, RejectionExclusion, SignalExclusion,
-                         equilibrium_curves, solve_benchmark, solve_exclusion,
-                         solve_multi_period, solve_signal_cutoff,
-                         solve_two_type, steady_state_profile)
+from .equilibria import (equilibrium_curves, solve_benchmark, solve_exclusion,
+                         solve_multi_period, solve_two_type,
+                         steady_state_profile)
 from .simulation import SimConfig, run_simulation
 
 RESIDUAL_CONTRACT = 1e-8
@@ -56,8 +56,7 @@ class RunConfig:
 
     params: ModelParams
     regime: str = "benchmark"
-    periods: int = 1
-    sbar_ban: float = -math.inf
+    policy: object = NoExclusion()
     command: str | None = None
     seed: int | None = None
     n_agents: int = 200_000
@@ -69,6 +68,12 @@ class RunConfig:
     sweep_values: tuple[float, ...] = ()
     output_path: str = "out.csv"
     grid_size: int = 1000
+
+    def solve(self):
+        """The configured regime's equilibrium, from its public solver."""
+        if self.regime == "two_type":
+            return solve_two_type(self.params)
+        return self.policy.solve(self.params)
 
 
 def _float(section, key, raw):
@@ -126,40 +131,45 @@ def parse_config(text, overrides=()):
         raise ValidationError("k must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
-    if v <= 0 or c <= 0:
-        raise ValidationError("V and C must be positive")
-    if var_s <= 0:
-        raise ValidationError("var_s must be positive")
 
     types = None
-    if "lambda_h" in model:
-        lam_h = get("lambda_h", 0.5)
-        if not 0.0 < lam_h < 1.0:
-            raise ValidationError("lambda_H must lie in (0, 1)")
-        types = (TypeMix(lam_h, Normal(get("mu_q_h", 0.5), get("var_q_h", 1.0))),
-                 TypeMix(1.0 - lam_h,
-                         Normal(get("mu_q_l", 0.0), get("var_q_l", 1.0))))
     try:
+        if "lambda_h" in model:
+            lam_h = get("lambda_h", 0.5)
+            if not 0.0 < lam_h < 1.0:
+                raise ValidationError("lambda_H must lie in (0, 1)")
+            types = (TypeMix(lam_h, Normal(get("mu_q_h", 0.5),
+                                           get("var_q_h", 1.0))),
+                     TypeMix(1.0 - lam_h, Normal(get("mu_q_l", 0.0),
+                                                 get("var_q_l", 1.0))))
         params = normal_model(
             mean_quality=get("mu_q", 0.0), var_quality=get("var_q", 1.0),
             var_signal=var_s, reject_cost=c, win_value=v, budget=k,
             discount=delta, types=types)
-    except ValueError as exc:
+    except (ParseError, ValidationError):
+        raise
+    except ValueError as exc:  # a model invariant, e.g. a non-finite value
         raise ValidationError(str(exc)) from exc
 
     cfg = RunConfig(params=params)
 
     policy = parser["policy"] if parser.has_section("policy") else {}
     cfg.regime = policy.get("regime", "benchmark").strip()
-    if cfg.regime not in ("benchmark", "exclusion", "multi_period",
-                          "signal_cutoff", "two_type"):
+    periods = _int("policy", "t", policy["t"]) if "t" in policy else 1
+    sbar_ban = _float("policy", "sbar_ban", policy["sbar_ban"]) \
+        if "sbar_ban" in policy else -math.inf
+    try:
+        # two_type uses one-period rejection bans
+        policies = {"benchmark": NoExclusion(),
+                    "exclusion": RejectionExclusion(1),
+                    "multi_period": RejectionExclusion(periods),
+                    "signal_cutoff": SignalExclusion(sbar_ban),
+                    "two_type": RejectionExclusion(1)}
+    except ValueError as exc:
+        raise ValidationError(f"[policy] {exc}") from exc
+    if cfg.regime not in policies:
         raise ValidationError(f"unknown regime {cfg.regime!r}")
-    if "t" in policy:
-        cfg.periods = _int("policy", "t", policy["t"])
-        if cfg.periods < 1:
-            raise ValidationError("ban length t must be >= 1")
-    if "sbar_ban" in policy:
-        cfg.sbar_ban = _float("policy", "sbar_ban", policy["sbar_ban"])
+    cfg.policy = policies[cfg.regime]
     if cfg.regime == "two_type" and params.types is None:
         raise ValidationError("two_type regime requires the type block "
                               "(lambda_H, mu_q_H, ...) in [model]")
@@ -201,30 +211,6 @@ def parse_config(text, overrides=()):
     return cfg
 
 
-def _policy_of(cfg):
-    if cfg.regime == "benchmark":
-        return NoExclusion()
-    if cfg.regime == "exclusion":
-        return RejectionExclusion(1)
-    if cfg.regime == "multi_period":
-        return RejectionExclusion(cfg.periods)
-    if cfg.regime == "signal_cutoff":
-        return SignalExclusion(cfg.sbar_ban)
-    return RejectionExclusion(1)  # two_type uses one-period rejection bans
-
-
-def _solve(cfg):
-    if cfg.regime == "benchmark":
-        return solve_benchmark(cfg.params)
-    if cfg.regime == "exclusion":
-        return solve_exclusion(cfg.params)
-    if cfg.regime == "multi_period":
-        return solve_multi_period(cfg.params, cfg.periods)
-    if cfg.regime == "signal_cutoff":
-        return solve_signal_cutoff(cfg.params, cfg.sbar_ban)
-    return solve_two_type(cfg.params)
-
-
 def _fmt(x):
     if x is None:
         return ""
@@ -263,15 +249,14 @@ def _outcome_row(outcome):
 
 def _cmd_solve(cfg):
     from .equilibria import _describe
-    outcome = _solve(cfg)
+    outcome = cfg.solve()
     rows = []
     if cfg.regime == "two_type" or len(outcome.all_roots) == 1:
         rows.append(_outcome_row(outcome))
     else:
-        policy = _policy_of(cfg)
         for root in outcome.all_roots:
             rows.append(_outcome_row(
-                _describe(cfg.params, policy, root, FAST_QUADRATURE,
+                _describe(cfg.params, cfg.policy, root, FAST_QUADRATURE,
                           outcome.all_roots)))
     _write_csv(cfg.output_path, _SOLVE_HEADER, rows)
     ok = outcome.residual < RESIDUAL_CONTRACT and \
@@ -282,8 +267,7 @@ def _cmd_solve(cfg):
 def _cmd_sweep(cfg):
     if cfg.sweep_axis is None or not cfg.sweep_values:
         raise ValidationError("sweep needs [sweep] axis and values")
-    regime = _policy_of(cfg)
-    entries = sweep(cfg.params, cfg.sweep_axis, cfg.sweep_values, regime)
+    entries = sweep(cfg.params, cfg.sweep_axis, cfg.sweep_values, cfg.policy)
     rows, ok = [], True
     for e in entries:
         if e.error is not None:
@@ -302,10 +286,10 @@ def _cmd_simulate(cfg):
     cutoffs = cfg.cutoffs
     analytic = None
     if cutoffs is None:
-        analytic = _solve(cfg)
+        analytic = cfg.solve()
         cutoffs = analytic.cutoffs
     sim_cfg = SimConfig(
-        seed=cfg.seed, policy=_policy_of(cfg), cutoffs=cutoffs,
+        seed=cfg.seed, policy=cfg.policy, cutoffs=cutoffs,
         n_agents=cfg.n_agents, n_periods=cfg.n_periods, burn_in=cfg.burn_in,
         initial_eligibility=analytic.eligibility if analytic else None,
         hist_bins=cfg.hist_bins)
@@ -335,16 +319,15 @@ def _cmd_simulate(cfg):
 
 def _cmd_compare(cfg):
     base = solve_benchmark(cfg.params)
-    other = _solve(cfg)
+    other = cfg.solve()
     h0 = winner_density(
         steady_state_profile(cfg.params, base.cutoff, NoExclusion()),
         cfg.params, cfg.grid_size)
-    policy = _policy_of(cfg)
     if cfg.regime == "two_type":
         from .equilibria import _type_profile
         profile = _type_profile(cfg.params, other.cutoffs, other.eligibility)
     else:
-        profile = steady_state_profile(cfg.params, other.cutoff, policy)
+        profile = steady_state_profile(cfg.params, other.cutoff, cfg.policy)
     h = winner_density(profile, cfg.params, cfg.grid_size)
     report = compare_winners(h, h0, cfg.params)
     _write_csv(cfg.output_path, ["q", "h_policy", "h_benchmark", "cdf_diff"],

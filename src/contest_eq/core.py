@@ -11,12 +11,12 @@ mass-k of submissions whose signal clears the market-clearing threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (DEFAULT_QUADRATURE, Mixture, Normal,
-                            ScalarDistribution, integrate)
+from .distributions import (DEFAULT_QUADRATURE, FAST_QUADRATURE, Mixture,
+                            Normal, ScalarDistribution, integrate)
 
 # Entry cutoffs are extended reals: comparisons and cdf evaluation are the
 # only operations ever applied to the infinite values.
@@ -67,8 +67,10 @@ class ModelParams:
     types: tuple[TypeMix, ...] | None = None
 
     def __post_init__(self):
-        if self.win_value <= 0 or self.reject_cost <= 0:
-            raise ValueError("win_value and reject_cost must be positive")
+        if not (0.0 < self.win_value < math.inf
+                and 0.0 < self.reject_cost < math.inf):
+            raise ValueError("win_value and reject_cost must be positive "
+                             "and finite")
         if not 0.0 < self.budget < 1.0:
             raise ValueError("budget must lie in (0, 1)")
         if not 0.0 < self.discount < 1.0:
@@ -261,11 +263,6 @@ def evaluate_success(profile, params, quad=DEFAULT_QUADRATURE, hint=None):
     return SuccessEvaluation(sbar=sbar, profile=profile, noise=params.noise)
 
 
-def win_prob(q, evaluation):
-    """Funding probability of a quality-q submission."""
-    return evaluation.win_prob(q)
-
-
 def win_mass(cutoff, evaluation, base, quad=DEFAULT_QUADRATURE):
     """Ex-ante per-period winning probability of a cutoff-`cutoff` researcher
     whose quality is drawn from `base`."""
@@ -293,57 +290,165 @@ def ban_mass(cutoff, sbar_ban, base, noise, quad=DEFAULT_QUADRATURE):
         lo, hi, quad)
 
 
-def _payoff_closed_form(win, reject, ban, params, geom=1.0):
+# ---------------------------------------------------------------------------
+# exclusion policies
+#
+# Every formula that depends on the ban rule lives on the policy object: the
+# regime label and ban length, the regime's public solver, the per-period
+# mass of submitters banned by their review signal, steady-state
+# eligibility, the indifference level of the marginal win probability (in
+# closed form for the steady state, or given the lifetime payoff x of
+# eligibility), the ban weight in the payoff's denominator, and the
+# simulator's ban trigger.  Steady-state methods take F = F(cutoff) and the
+# ban mass as scalars or as arrays over a cutoff grid.
+
+
+@dataclass(frozen=True)
+class RejectionExclusion:
+    """A rejected applicant sits out the next `periods` periods."""
+
+    periods: int = 1
+
+    def __post_init__(self):
+        if self.periods < 1 or self.periods != int(self.periods):
+            raise ValueError("ban length must be a positive integer")
+
+    @property
+    def regime(self):
+        return "exclusion" if self.periods == 1 else \
+            f"multi_period(t={self.periods})"
+
+    @property
+    def ban_periods(self):
+        return self.periods
+
+    def solve(self, params, quad=FAST_QUADRATURE):
+        from . import equilibria
+        return equilibria.solve_multi_period(params, self.periods, quad)
+
+    def ban(self, F, below):
+        """No signal-triggered bans: the ban follows the funding outcome."""
+        return 0.0 * F
+
+    def eligibility(self, F, ban, budget):
+        t = self.periods
+        return np.minimum((1.0 + t * budget) / (1.0 + t * (1.0 - F)), 1.0)
+
+    def steady_indifference(self, cutoff, F, ban, params):
+        v, c, k, d = (params.win_value, params.reject_cost, params.budget,
+                      params.discount)
+        t, geom = self.periods, self._geom(d)
+        num = (1.0 + t * k) * c + k * d * geom * (1.0 + t * (1.0 - F)) * v
+        den = (1.0 + t * k) * c + \
+            (1.0 + t * k) * (1.0 + d * geom * (1.0 - F)) * v
+        return num / den
+
+    def indifference(self, cutoff, x, params):
+        d = params.discount
+        cost = params.reject_cost + d * (1.0 - d ** self.periods) * x
+        return cost / (cost + params.win_value)
+
+    def payoff_ban(self, cutoff, reject, base, params, quad):
+        return reject * self._geom(params.discount)
+
+    def banned(self, submit, signal, rejected):
+        return rejected
+
+    def _geom(self, d):
+        return (1.0 - d ** self.periods) / (1.0 - d)
+
+
+@dataclass(frozen=True)
+class SignalExclusion:
+    """An applicant whose review signal falls below `sbar` sits out the next
+    period, independently of whether the proposal was funded."""
+
+    sbar: float
+    ban_periods = 1
+
+    def __post_init__(self):
+        if math.isnan(self.sbar):
+            raise ValueError("sbar_ban must be a number or +-inf")
+
+    @property
+    def regime(self):
+        return f"signal_cutoff(sbar={self.sbar:g})"
+
+    def solve(self, params, quad=FAST_QUADRATURE):
+        from . import equilibria
+        return equilibria.solve_signal_cutoff(params, self.sbar, quad)
+
+    def ban(self, F, below):
+        """`below(s)` integrates the chance of a signal under s over the
+        submitted qualities."""
+        if self.sbar == math.inf:
+            return 1.0 - F
+        if self.sbar == -math.inf:
+            return 0.0 * F
+        return below(self.sbar)
+
+    def eligibility(self, F, ban, budget):
+        return 1.0 / (1.0 + ban)
+
+    def steady_indifference(self, cutoff, F, ban, params):
+        v, c, k, d = (params.win_value, params.reject_cost, params.budget,
+                      params.discount)
+        g = self._trigger(cutoff, params.noise)
+        num = c * (1.0 + d * ban) + d * g * (
+            k * (1.0 + ban) * v - (1.0 - F - k * (1.0 + ban)) * c)
+        den = (c + v) * (1.0 + d * ban)
+        return num / den
+
+    def indifference(self, cutoff, x, params):
+        c, v, d = params.reject_cost, params.win_value, params.discount
+        g = self._trigger(cutoff, params.noise)
+        return (c + d * (1.0 - d) * g * x) / (c + v)
+
+    def payoff_ban(self, cutoff, reject, base, params, quad):
+        return ban_mass(cutoff, self.sbar, base, params.noise, quad)
+
+    def banned(self, submit, signal, rejected):
+        return submit & (signal < self.sbar)
+
+    def _trigger(self, cutoff, noise):
+        """Chance that the marginal quality's signal falls below the bar."""
+        if not math.isfinite(self.sbar):
+            return 1.0 if self.sbar > 0 else 0.0
+        return np.clip(noise.cdf(self.sbar - cutoff), 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class NoExclusion(SignalExclusion):
+    """Free entry every period regardless of history: a signal bar at -inf,
+    which bans no one."""
+
+    sbar: float = field(default=-math.inf, init=False, repr=False)
+    regime = "benchmark"
+    ban_periods = 0
+
+    def solve(self, params, quad=FAST_QUADRATURE):
+        from . import equilibria
+        return equilibria.solve_benchmark(params, quad)
+
+
+def lifetime_payoff(cutoff, evaluation, params, quad=DEFAULT_QUADRATURE,
+                    policy=RejectionExclusion(1), base=None):
+    """Discounted lifetime payoff of an eligible researcher who submits at
+    or above `cutoff`, facing the same competition every period.
+
+    `policy` sets the ban rule (one-period rejection bans by default) and
+    `base` the researcher's own quality distribution (the population's by
+    default).
+    """
+    if cutoff == NEVER_SUBMIT:
+        return 0.0
+    if base is None:
+        base = params.quality
+    win = win_mass(cutoff, evaluation, base, quad)
+    reject = (1.0 - base.cdf(cutoff)) - win
+    ban = policy.payoff_ban(cutoff, reject, base, params, quad)
     v, c, d = params.win_value, params.reject_cost, params.discount
-    return (win * v - reject * c) / ((1.0 - d) * (1.0 + d * ban * geom))
-
-
-def lifetime_payoff(cutoff, evaluation, params, quad=DEFAULT_QUADRATURE):
-    """Discounted lifetime payoff of an eligible researcher under one-period
-    rejection bans, facing the same competition every period."""
-    if cutoff == NEVER_SUBMIT:
-        return 0.0
-    win = win_mass(cutoff, evaluation, params.quality, quad)
-    reject = (1.0 - params.quality.cdf(cutoff)) - win
-    return _payoff_closed_form(win, reject, reject, params)
-
-
-def lifetime_payoff_general(cutoff, evaluation, sbar_ban, params,
-                            quad=DEFAULT_QUADRATURE):
-    """Lifetime payoff when exclusion triggers on a signal below sbar_ban
-    rather than on rejection; sbar_ban = -inf recovers the no-exclusion
-    repeated payoff."""
-    if cutoff == NEVER_SUBMIT:
-        return 0.0
-    win = win_mass(cutoff, evaluation, params.quality, quad)
-    reject = (1.0 - params.quality.cdf(cutoff)) - win
-    ban = ban_mass(cutoff, sbar_ban, params.quality, params.noise, quad)
-    return _payoff_closed_form(win, reject, ban, params)
-
-
-def lifetime_payoff_multi(cutoff, evaluation, periods, params,
-                          quad=DEFAULT_QUADRATURE):
-    """Lifetime payoff when rejection triggers a ban of `periods` periods."""
-    if periods < 1 or periods != int(periods):
-        raise ValueError("ban length must be a positive integer")
-    if cutoff == NEVER_SUBMIT:
-        return 0.0
-    d = params.discount
-    geom = (1.0 - d ** int(periods)) / (1.0 - d)
-    win = win_mass(cutoff, evaluation, params.quality, quad)
-    reject = (1.0 - params.quality.cdf(cutoff)) - win
-    return _payoff_closed_form(win, reject, reject, params, geom)
-
-
-def lifetime_payoff_typed(cutoff, evaluation, type_dist, params,
-                          quad=DEFAULT_QUADRATURE):
-    """Lifetime payoff of a researcher whose quality is drawn from
-    `type_dist`, under one-period rejection bans."""
-    if cutoff == NEVER_SUBMIT:
-        return 0.0
-    win = win_mass(cutoff, evaluation, type_dist, quad)
-    reject = (1.0 - type_dist.cdf(cutoff)) - win
-    return _payoff_closed_form(win, reject, reject, params)
+    return (win * v - reject * c) / ((1.0 - d) * (1.0 + d * ban))
 
 
 def welfare(profile, params, quad=DEFAULT_QUADRATURE):

@@ -200,8 +200,10 @@ class Normal(ScalarDistribution):
     """Normal distribution parameterized by mean and variance."""
 
     def __init__(self, mean, variance, truncation_sigmas=10.0):
-        if variance <= 0:
-            raise ValueError("variance must be positive")
+        if not 0.0 < variance < math.inf:
+            raise ValueError("variance must be positive and finite")
+        if not math.isfinite(mean):
+            raise ValueError("mean must be finite")
         self.mean = float(mean)
         self.variance = float(variance)
         self.stddev = math.sqrt(self.variance)

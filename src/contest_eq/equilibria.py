@@ -14,12 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from .core import (ALWAYS_SUBMIT, SubmissionProfile,
-                   ban_mass, evaluate_success, lifetime_payoff_general,
-                   lifetime_payoff_multi, lifetime_payoff_typed,
-                   truncated_profile, welfare, win_mass)
-from .distributions import FAST_QUADRATURE, Quadrature
+from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
+                   RejectionExclusion, SignalExclusion, SubmissionProfile,
+                   SuccessEvaluation, ban_mass, evaluate_success,
+                   lifetime_payoff, truncated_profile, welfare, win_mass)
+from .distributions import (_GL_NODES, _GL_WEIGHTS, FAST_QUADRATURE, Normal,
+                            Quadrature)
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -39,30 +41,6 @@ class NoConvergence(RuntimeError):
     def __init__(self, message, best_residual=None):
         super().__init__(message)
         self.best_residual = best_residual
-
-
-@dataclass(frozen=True)
-class NoExclusion:
-    """Free entry every period regardless of history."""
-
-
-@dataclass(frozen=True)
-class RejectionExclusion:
-    """A rejected applicant sits out the next `periods` periods."""
-
-    periods: int = 1
-
-    def __post_init__(self):
-        if self.periods < 1 or self.periods != int(self.periods):
-            raise ValueError("ban length must be a positive integer")
-
-
-@dataclass(frozen=True)
-class SignalExclusion:
-    """An applicant whose review signal falls below `sbar` sits out the next
-    period, independently of whether the proposal was funded."""
-
-    sbar: float
 
 
 @dataclass(frozen=True)
@@ -95,80 +73,16 @@ class EquilibriumOutcome:
 
 def steady_state_eligibility(params, cutoff, policy, quad=FAST_QUADRATURE):
     """Time-invariant eligible share consistent with a common cutoff."""
-    if isinstance(policy, NoExclusion):
-        return 1.0
     F = params.quality.cdf(cutoff)
-    if isinstance(policy, RejectionExclusion):
-        if cutoff >= params.first_best_cutoff:
-            return 1.0
-        t = policy.periods
-        return (1.0 + t * params.budget) / (1.0 + t * (1.0 - F))
-    ban = ban_mass(cutoff, policy.sbar, params.quality, params.noise, quad)
-    return 1.0 / (1.0 + ban)
+    ban = policy.ban(F, lambda s: ban_mass(cutoff, s, params.quality,
+                                           params.noise, quad))
+    return float(policy.eligibility(F, ban, params.budget))
 
 
 def steady_state_profile(params, cutoff, policy, quad=FAST_QUADRATURE):
     """Recurrent submission profile induced by a common cutoff."""
     elig = steady_state_eligibility(params, cutoff, policy, quad)
     return truncated_profile(params.quality, cutoff, elig)
-
-
-def _rejection_rhs(F, params, periods):
-    """Indifference level of the win probability at the marginal quality
-    under `periods`-period rejection bans, as a function of F(cutoff)."""
-    v, c, k, d = (params.win_value, params.reject_cost, params.budget,
-                  params.discount)
-    t = periods
-    geom = (1.0 - d ** t) / (1.0 - d)
-    num = (1.0 + t * k) * c + k * d * geom * (1.0 + t * (1.0 - F)) * v
-    den = (1.0 + t * k) * c + (1.0 + t * k) * (1.0 + d * geom * (1.0 - F)) * v
-    return num / den
-
-
-def _signal_rhs(cutoff, F, ban, params, sbar_ban):
-    v, c, k, d = (params.win_value, params.reject_cost, params.budget,
-                  params.discount)
-    g = float(np.clip(params.noise.cdf(sbar_ban - cutoff), 0.0, 1.0)) \
-        if math.isfinite(sbar_ban) else (1.0 if sbar_ban > 0 else 0.0)
-    num = c * (1.0 + d * ban) + d * g * (
-        k * (1.0 + ban) * v - (1.0 - F - k * (1.0 + ban)) * c)
-    den = (c + v) * (1.0 + d * ban)
-    return num / den
-
-
-class _ResidualScan:
-    """Residual of a one-cutoff equilibrium equation, with a warm-started
-    clearing threshold carried across nearby evaluations."""
-
-    def __init__(self, params, policy, quad):
-        self.params = params
-        self.policy = policy
-        self.quad = quad
-        self._hint = None
-
-    def interior(self, cutoff):
-        """True when the steady state at `cutoff` is over-subscribed."""
-        profile = steady_state_profile(self.params, cutoff, self.policy,
-                                       self.quad)
-        return profile.volume() > self.params.budget + 1e-12
-
-    def __call__(self, cutoff):
-        params, quad = self.params, self.quad
-        profile = steady_state_profile(params, cutoff, self.policy, quad)
-        ev = evaluate_success(profile, params, quad, hint=self._hint)
-        if math.isfinite(ev.sbar):
-            self._hint = ev.sbar
-        w = float(ev.win_prob(cutoff))
-        F = params.quality.cdf(cutoff)
-        if isinstance(self.policy, NoExclusion):
-            rhs = params.loss_share
-        elif isinstance(self.policy, RejectionExclusion):
-            rhs = _rejection_rhs(F, params, self.policy.periods)
-        else:
-            ban = ban_mass(cutoff, self.policy.sbar, params.quality,
-                           params.noise, quad)
-            rhs = _signal_rhs(cutoff, F, ban, params, self.policy.sbar)
-        return w - rhs
 
 
 def _bisect_root(residual, lo, hi, flo, tol=_ROOT_TOL):
@@ -188,19 +102,22 @@ def _bisect_root(residual, lo, hi, flo, tol=_ROOT_TOL):
 
 
 def _batch_residuals(params, policy, grid, quad):
-    """Equilibrium residual on a whole cutoff grid in one vectorized pass.
+    """Equilibrium residual on a cutoff grid in one vectorized pass; a single
+    cutoff is a size-1 grid.
 
     Builds the Gauss-Legendre node matrix for every truncated integral at
-    once and bisects all clearing thresholds simultaneously; used to locate
-    sign changes, which are then re-bisected through the scalar path.
+    once and bisects all clearing thresholds simultaneously until each
+    bracket has collapsed below 1e-10.  Stopping on the bracket rather than
+    on the clearing mass keeps the threshold exact when eligibility, and
+    with it the clearing slope, is small.  Returns (residual, rhs, interior,
+    sbar, eligibility) arrays, rhs being the policy's indifference level.
     """
-    from scipy.special import ndtr
-
-    from .distributions import _GL_NODES, _GL_WEIGHTS, Normal
-
+    if quad.method != "gauss_legendre":
+        raise ValueError("equilibrium solvers need a Gauss-Legendre "
+                         "quadrature")
     f, noise = params.quality, params.noise
     k = params.budget
-    grid = np.asarray(grid, dtype=float)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
     n = grid.size
     lo_s, hi_s = f.support_hint
     panels = max(quad.panels // 2, 4)
@@ -214,30 +131,11 @@ def _batch_residuals(params, policy, grid, quad):
     w = (half[:, :, None] * _GL_WEIGHTS).reshape(n, -1)
     fw = np.asarray(f.pdf(x.ravel()), dtype=float).reshape(n, -1) * w
 
-    if isinstance(noise, Normal):
-        noise_cdf = lambda v: ndtr((v - noise.mean) / noise.stddev)
-    else:
-        noise_cdf = lambda v: np.asarray(noise.cdf(v), dtype=float)
-
+    noise_cdf = lambda v: np.asarray(noise.cdf(v), dtype=float)
     F = np.asarray(f.cdf(grid), dtype=float)
-    if isinstance(policy, NoExclusion):
-        elig = np.ones(n)
-        rhs = np.full(n, params.loss_share)
-    elif isinstance(policy, RejectionExclusion):
-        t = policy.periods
-        elig = (1.0 + t * k) / (1.0 + t * (1.0 - F))
-        rhs = _rejection_rhs(F, params, t)
-    else:
-        sb = policy.sbar
-        if sb == math.inf:
-            ban = 1.0 - F
-        elif sb == -math.inf:
-            ban = np.zeros(n)
-        else:
-            ban = np.sum(fw * noise_cdf(sb - x), axis=1)
-        elig = 1.0 / (1.0 + ban)
-        rhs = np.array([_signal_rhs(grid[i], F[i], ban[i], params, sb)
-                        for i in range(n)])
+    ban = policy.ban(F, lambda s: np.sum(fw * noise_cdf(s - x), axis=1))
+    elig = policy.eligibility(F, ban, k)
+    rhs = policy.steady_indifference(grid, F, ban, params)
 
     vol = elig * (1.0 - F)
     interior = vol > k + 1e-12
@@ -266,22 +164,19 @@ def _batch_residuals(params, policy, grid, quad):
     sbar[rows] = 0.5 * (lo_b + hi_b) * sd
     with np.errstate(invalid="ignore"):
         w_at = np.where(interior, 1.0 - noise_cdf(sbar - grid), 1.0)
-    return w_at - rhs, interior, sbar
+    return w_at - rhs, rhs, interior, sbar, elig
 
 
-def _scan_roots(residual, params, policy, quad, grid_points):
+def _scan_roots(params, policy, quad, grid_points):
     """Global sign-change scan below the first-best cutoff, extending left
-    when the left edge indicates the smallest root lies below the grid."""
+    when the left edge indicates the smallest root lies below the grid;
+    every bracket is bisected on the same residual."""
     qstar = params.first_best_cutoff
     lo = params.quality.quantile(_GRID_FLOOR_P)
     hi = qstar - 1e-9 * (1.0 + abs(qstar))
     floor = params.quality.mean - 60.0 * params.quality.stddev
 
-    if quad.method == "gauss_legendre":
-        values = lambda g: _batch_residuals(params, policy, g, quad)[0]
-    else:
-        values = lambda g: np.array([residual(q) for q in g])
-
+    values = lambda g: _batch_residuals(params, policy, g, quad)[0]
     grid = np.linspace(lo, hi, grid_points)
     vals = values(grid)
     while vals[0] > 0.0 and grid[0] > floor:
@@ -294,46 +189,35 @@ def _scan_roots(residual, params, policy, quad, grid_points):
     roots = []
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     for i in sign_change:
-        roots.append(
-            float(_bisect_root(residual, grid[i], grid[i + 1], vals[i])))
+        roots.append(float(_bisect_root(lambda q: values(q)[0],
+                                        grid[i], grid[i + 1], vals[i])))
     return sorted(roots)
 
 
 def _describe(params, policy, cutoff, quad, all_roots, hypothesis_met=True):
     """Assemble the full outcome record for a solved cutoff."""
-    profile = steady_state_profile(params, cutoff, policy, quad)
-    ev = evaluate_success(profile, params, quad)
-    elig = steady_state_eligibility(params, cutoff, policy, quad)
-    scan = _ResidualScan(params, policy, quad)
-    if isinstance(policy, NoExclusion):
-        regime = "benchmark"
-        payoff = lifetime_payoff_general(cutoff, ev, -math.inf, params, quad)
-    elif isinstance(policy, RejectionExclusion):
-        regime = "exclusion" if policy.periods == 1 else \
-            f"multi_period(t={policy.periods})"
-        payoff = lifetime_payoff_multi(cutoff, ev, policy.periods, params, quad)
-    else:
-        regime = f"signal_cutoff(sbar={policy.sbar:g})"
-        payoff = lifetime_payoff_general(cutoff, ev, policy.sbar, params, quad)
+    resid, _, _, sbar, elig = _batch_residuals(params, policy, cutoff, quad)
+    return _outcome(params, policy, cutoff, float(elig[0]), float(sbar[0]),
+                    quad, residual=float(abs(resid[0])),
+                    all_roots=tuple(all_roots), hypothesis_met=hypothesis_met)
+
+
+def _outcome(params, policy, cutoff, elig, sbar, quad, **fields):
+    profile = truncated_profile(params.quality, cutoff, elig)
+    ev = SuccessEvaluation(sbar=sbar, profile=profile, noise=params.noise)
     return EquilibriumOutcome(
-        regime=regime,
-        cutoffs=(cutoff,),
-        eligibility=(elig,),
-        sbar=ev.sbar,
-        submission_volume=profile.volume(),
-        residual=abs(scan(cutoff)),
-        all_roots=tuple(all_roots),
+        regime=policy.regime, cutoffs=(cutoff,), eligibility=(elig,),
+        sbar=sbar, submission_volume=profile.volume(),
         welfare=welfare(profile, params, quad),
-        payoff_x=(payoff,),
-        hypothesis_met=hypothesis_met,
-    )
+        payoff_x=(lifetime_payoff(cutoff, ev, params, quad, policy),),
+        **fields)
 
 
 def _solve_common(params, policy, quad, grid_points, hypothesis_met=True):
-    scan = _ResidualScan(params, policy, quad)
-    roots = _scan_roots(scan, params, policy, quad, grid_points)
-    if isinstance(policy, SignalExclusion):
-        roots = [r for r in roots if scan.interior(r)]
+    roots = _scan_roots(params, policy, quad, grid_points)
+    if roots:
+        interior = _batch_residuals(params, policy, roots, quad)[2]
+        roots = [r for r, keep in zip(roots, interior) if keep]
     if not roots:
         raise NoRoot(f"no equilibrium cutoff found for {policy}")
     return _describe(params, policy, roots[0], quad, roots, hypothesis_met)
@@ -377,20 +261,10 @@ def solve_signal_cutoff(params, sbar_ban, quad=FAST_QUADRATURE,
     everyone applies and wins; the outcome is returned with corner=True.
     """
     policy = SignalExclusion(float(sbar_ban))
-    ban_full = ban_mass(ALWAYS_SUBMIT, policy.sbar, params.quality,
-                        params.noise, quad)
-    if params.budget >= 1.0 / (1.0 + ban_full):
-        elig = 1.0 / (1.0 + ban_full)
-        profile = truncated_profile(params.quality, ALWAYS_SUBMIT, elig)
-        ev = evaluate_success(profile, params, quad)
-        payoff = lifetime_payoff_general(ALWAYS_SUBMIT, ev, policy.sbar,
-                                         params, quad)
-        return EquilibriumOutcome(
-            regime=f"signal_cutoff(sbar={policy.sbar:g})",
-            cutoffs=(ALWAYS_SUBMIT,), eligibility=(elig,), sbar=ev.sbar,
-            submission_volume=profile.volume(), residual=0.0,
-            all_roots=(ALWAYS_SUBMIT,), welfare=welfare(profile, params, quad),
-            payoff_x=(payoff,), corner=True)
+    elig = steady_state_eligibility(params, ALWAYS_SUBMIT, policy, quad)
+    if params.budget >= elig:  # under-subscribed: everyone is funded
+        return _outcome(params, policy, ALWAYS_SUBMIT, elig, -math.inf, quad,
+                        residual=0.0, all_roots=(ALWAYS_SUBMIT,), corner=True)
     return _solve_common(params, policy, quad, grid_points)
 
 
@@ -398,56 +272,13 @@ def solve_signal_cutoff(params, sbar_ban, quad=FAST_QUADRATURE,
 # best responses
 
 
-def _always_best(profile, params):
-    return profile.volume() <= params.budget + 1e-12
-
-
-def _base_entry_cutoff(ev, params):
-    """Quality at which the win probability equals C / (C + V); the free-
-    entry best response to a fixed over-subscribed profile."""
-    return ev.sbar - params.noise.quantile(1.0 - params.loss_share)
-
-
-def _br_residual_factory(ev, params, policy, base_dist, quad):
-    v, c, d = params.win_value, params.reject_cost, params.discount
-
-    def x_general(cutoff, ban):
-        win = win_mass(cutoff, ev, base_dist, quad)
-        reject = (1.0 - base_dist.cdf(cutoff)) - win
-        return (win * v - reject * c) / ((1.0 - d) * (1.0 + d * ban))
-
-    if isinstance(policy, SignalExclusion):
-        def residual(cutoff):
-            ban = ban_mass(cutoff, policy.sbar, base_dist, params.noise, quad)
-            x = x_general(cutoff, ban)
-            g = float(params.noise.cdf(policy.sbar - cutoff)) \
-                if math.isfinite(policy.sbar) else (1.0 if policy.sbar > 0 else 0.0)
-            rhs = (c + d * (1.0 - d) * g * x) / (c + v)
-            return float(ev.win_prob(cutoff)) - rhs
-        return residual
-
-    t = policy.periods if isinstance(policy, RejectionExclusion) else 1
-    geom = (1.0 - d ** t) / (1.0 - d)
-
-    def residual(cutoff):
-        win = win_mass(cutoff, ev, base_dist, quad)
-        reject = (1.0 - base_dist.cdf(cutoff)) - win
-        x = (win * v - reject * c) / ((1.0 - d) * (1.0 + d * reject * geom))
-        cost = c + d * (1.0 - d ** t) * x
-        return float(ev.win_prob(cutoff)) - cost / (cost + v)
-
-    return residual
-
-
 def _unique_root_right(residual, start, hi_cap):
     """Root of a best-response residual that is negative at `start` and
     positive for large cutoffs; uniqueness holds by the one-shot-deviation
     characterization, so the first bracket is the root."""
     f0 = residual(start)
-    if abs(f0) < 1e-13:
-        return start
-    if f0 > 0.0:
-        # the intertemporal cost term vanishes at `start` already
+    if f0 > -1e-13:
+        # a root at `start`, or the intertemporal cost term vanishes there
         return start
     grid = np.linspace(start, hi_cap, 400)
     prev_q, prev_f = start, f0
@@ -469,13 +300,20 @@ def best_response(profile, params, policy, quad=FAST_QUADRATURE,
     """
     if base_dist is None:
         base_dist = params.quality
-    if _always_best(profile, params):
+    if profile.volume() <= params.budget + 1e-12:
         return ALWAYS_SUBMIT
     ev = evaluate_success(profile, params, quad)
-    start = _base_entry_cutoff(ev, params)
-    if isinstance(policy, NoExclusion):
+    # the quality whose win probability is C / (C + V): the free-entry best
+    # response, and the lower end of the search with bans
+    start = ev.sbar - params.noise.quantile(1.0 - params.loss_share)
+    if not policy.ban_periods:
         return start
-    residual = _br_residual_factory(ev, params, policy, base_dist, quad)
+
+    def residual(cutoff):
+        x = lifetime_payoff(cutoff, ev, params, quad, policy, base_dist)
+        return float(ev.win_prob(cutoff)) - \
+            policy.indifference(cutoff, x, params)
+
     hi_cap = max(base_dist.support_hint[1],
                  ev.sbar + 12.0 * params.noise.stddev) + 1.0
     return _unique_root_right(residual, start, hi_cap)
@@ -486,7 +324,6 @@ def best_response(profile, params, policy, quad=FAST_QUADRATURE,
 
 
 def _type_profile(params, cutoffs, shares):
-    from .core import ProfileComponent
     comps = []
     for t, q, a in zip(params.types, cutoffs, shares):
         within = min(a / t.share, 1.0)
@@ -601,16 +438,7 @@ def solve_two_type(params, quad=FAST_QUADRATURE, damping=0.5, tol=1e-9,
                                                  start=shares)
     profile = _type_profile(params, cutoffs, shares)
     ev = evaluate_success(profile, params, quad)
-    residual = 0.0
-    payoffs = []
-    for i in (0, 1):
-        base = params.types[i].quality
-        x = lifetime_payoff_typed(cutoffs[i], ev, base, params, quad)
-        payoffs.append(x)
-        c, v, d = params.reject_cost, params.win_value, params.discount
-        cost = c + d * (1.0 - d) * x
-        residual = max(residual,
-                       abs(float(ev.win_prob(cutoffs[i])) - cost / (cost + v)))
+    payoffs, residual = _type_indifference(params, policy, ev, cutoffs, quad)
     if not converged and residual > 1e-8:
         raise NoConvergence(
             f"two-type iteration stalled (best residual {residual:.3e})",
@@ -632,6 +460,16 @@ def solve_two_type(params, quad=FAST_QUADRATURE, damping=0.5, tol=1e-9,
         payoff_x=tuple(payoffs),
         eligibility_residual=elig_resid,
     )
+
+
+def _type_indifference(params, policy, ev, cutoffs, quad):
+    """Each type's lifetime payoff at its cutoff, and the largest gap between
+    a type's marginal win probability and its indifference level."""
+    payoffs = [lifetime_payoff(q, ev, params, quad, policy, t.quality)
+               for q, t in zip(cutoffs, params.types)]
+    gap = max(abs(float(ev.win_prob(q)) - policy.indifference(q, x, params))
+              for q, x in zip(cutoffs, payoffs))
+    return payoffs, gap
 
 
 def _two_type_grid_fallback(params, quad, n=50):
@@ -658,13 +496,7 @@ def _two_type_grid_fallback(params, quad, n=50):
             if profile.volume() <= params.budget:
                 continue
             ev = evaluate_success(profile, params, coarse)
-            val = 0.0
-            for i, q in enumerate((q0, q1)):
-                base = params.types[i].quality
-                x = lifetime_payoff_typed(q, ev, base, params, coarse)
-                c, v, d = params.reject_cost, params.win_value, params.discount
-                cost = c + d * (1.0 - d) * x
-                val = max(val, abs(float(ev.win_prob(q)) - cost / (cost + v)))
+            val = _type_indifference(params, policy, ev, (q0, q1), coarse)[1]
             if val < best_val:
                 best, best_val = (q0, q1), val
         shares = row_shares
@@ -683,16 +515,5 @@ def equilibrium_curves(params, policy, grid, quad=FAST_QUADRATURE):
     quality under the steady-state competition it induces, rhs the
     indifference level of the policy's equilibrium equation.
     """
-    resid, _, _ = _batch_residuals(params, policy, np.asarray(grid), quad)
-    F = np.asarray(params.quality.cdf(np.asarray(grid)), dtype=float)
-    if isinstance(policy, NoExclusion):
-        rhs = np.full(len(grid), params.loss_share)
-    elif isinstance(policy, RejectionExclusion):
-        rhs = _rejection_rhs(F, params, policy.periods)
-    else:
-        rhs = np.array([
-            _signal_rhs(q, params.quality.cdf(q),
-                        ban_mass(q, policy.sbar, params.quality,
-                                 params.noise, quad),
-                        params, policy.sbar) for q in grid])
+    resid, rhs = _batch_residuals(params, policy, grid, quad)[:2]
     return resid + rhs, rhs

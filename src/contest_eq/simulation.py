@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import NoExclusion, RejectionExclusion, SignalExclusion
+from .core import RejectionExclusion
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class SimResult:
     funded_trajectory: np.ndarray
 
 
-def _ban_periods(policy):
-    if isinstance(policy, NoExclusion):
-        return 0
-    if isinstance(policy, RejectionExclusion):
-        return policy.periods
-    return 1
-
-
 def _period_rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
@@ -104,7 +96,7 @@ def run_simulation(config, params):
     """
     n = config.n_agents
     budget_slots = int(math.floor(params.budget * n))
-    t_ban = _ban_periods(config.policy)
+    t_ban = config.policy.ban_periods
     type_idx, type_shares = _type_layout(params, n)
     n_types = len(type_idx)
     if len(config.cutoffs) != n_types:
@@ -191,11 +183,7 @@ def run_simulation(config, params):
 
         ban_left = np.maximum(ban_left - 1, 0)
         if t_ban > 0:
-            if isinstance(config.policy, SignalExclusion):
-                banned_now = submit & (signals < config.policy.sbar)
-            else:
-                banned_now = rejected
-            ban_left[banned_now] = t_ban
+            ban_left[config.policy.banned(submit, signals, rejected)] = t_ban
 
     tail = slice(config.burn_in, None)
     periods_counted = config.n_periods - config.burn_in
@@ -234,7 +222,7 @@ def empirical_best_response(config, params, candidate_grid, result=None,
     if horizon is None:
         horizon = min(int(math.ceil(math.log(1e-9)
                                     / math.log(params.discount))), 2000)
-    t_ban = _ban_periods(config.policy)
+    t_ban = config.policy.ban_periods
     grid = np.asarray(candidate_grid, dtype=float)
     n_cand = grid.size
 
@@ -255,11 +243,7 @@ def empirical_best_response(config, params, candidate_grid, result=None,
         payoff += disc * (win * params.win_value - lose * params.reject_cost)
         ban = np.maximum(ban - 1, 0)
         if t_ban > 0:
-            if isinstance(config.policy, SignalExclusion):
-                banned_now = submit & (s < config.policy.sbar)
-            else:
-                banned_now = lose
-            ban[banned_now] = t_ban
+            ban[config.policy.banned(submit, s, lose)] = t_ban
         disc *= params.discount
 
     mean_payoff = payoff.mean(axis=0)

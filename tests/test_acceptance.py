@@ -15,7 +15,6 @@ from contest_eq import (Normal, NoExclusion, RejectionExclusion,
                         SignalExclusion, SimConfig, TypeMix,
                         compare_winners, empirical_best_response,
                         evaluate_success, first_best, lifetime_payoff,
-                        lifetime_payoff_multi, lifetime_payoff_typed,
                         normal_model, run_simulation, solve_benchmark,
                         solve_exclusion, solve_multi_period,
                         solve_signal_cutoff, solve_two_type,
@@ -211,7 +210,7 @@ def test_criterion_7_payoff_identities():
         worst = max(worst, abs(x - ref))
 
         t = int(rng.integers(2, 20))
-        xt = lifetime_payoff_multi(Q, ev, t, p)
+        xt = lifetime_payoff(Q, ev, p, policy=RejectionExclusion(t))
         ref_t = oracles.value_iter_payoff(Q, ev.sbar, mu, sd_q, sd_s,
                                           p.win_value, p.reject_cost,
                                           p.discount, ban_periods=t)
@@ -220,7 +219,7 @@ def test_criterion_7_payoff_identities():
         # typed payoff: researcher type differs from the population
         mu_i = mu + rng.uniform(0.1, 0.6)
         type_dist = Normal(mu_i, var_q)
-        xi = lifetime_payoff_typed(Q, ev, type_dist, p)
+        xi = lifetime_payoff(Q, ev, p, base=type_dist)
         ref_i = oracles.value_iter_payoff(Q, ev.sbar, mu_i, sd_q, sd_s,
                                           p.win_value, p.reject_cost,
                                           p.discount, ban_periods=1)

@@ -176,3 +176,14 @@ def test_sweep_records_failures_inline(model_v50):
     assert entries[0].error is None
     assert entries[1].outcome is None
     assert "budget" in entries[1].error
+
+
+def test_sweep_propagates_programming_errors(model_v50, monkeypatch):
+    from contest_eq import equilibria
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr(equilibria, "solve_multi_period", broken)
+    with pytest.raises(TypeError, match="broken solver"):
+        sweep(model_v50, "t", [1, 5])

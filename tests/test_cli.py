@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from contest_eq.cli import (ParseError, ValidationError, main,
                             parse_config, run_command)
 
 from reference import V50_Q1, V20_BAN_ROOTS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 V30_DOC = """
 [model]
@@ -86,6 +89,8 @@ def test_parse_config_rejects_unknown_keys():
 def test_parse_config_rejects_bad_literals():
     with pytest.raises(ParseError, match="not a number"):
         parse_config("[model]\nk = lots\n")
+    with pytest.raises(ParseError, match="not a number"):
+        parse_config("[model]\nmu_q = lots\n")
 
 
 def test_parse_config_rejects_unknown_regime():
@@ -135,6 +140,30 @@ def test_cli_reports_machine_readable_errors(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
     assert "k" in record["message"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["model.V=nan"], ["model.C=inf"], ["model.var_s=nan"], ["model.mu_q=nan"],
+    ["policy.regime=signal_cutoff", "policy.sbar_ban=nan"],
+])
+def test_cli_rejects_non_finite_input(tmp_path, capsys, overrides):
+    doc_path = tmp_path / "cfg.ini"
+    doc_path.write_text(V30_DOC.format(path=tmp_path / "o.csv"))
+    argv = ["solve", "--config", str(doc_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_long_ban_solve_meets_residual_contract(tmp_path):
+    out = tmp_path / "o.csv"
+    code = main(["solve", "--config", str(CONFIGS / "ban_length.ini"),
+                 "--set", "policy.t=5000", "--out", str(out)])
+    assert code == 0
+    assert float(_read_rows(out)[0]["residual"]) < 1e-8
 
 
 def test_simulate_requires_seed(tmp_path):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from contest_eq import (ALWAYS_SUBMIT, FAST_QUADRATURE, NEVER_SUBMIT, Normal,
-                        RejectionExclusion,
+                        RejectionExclusion, SignalExclusion,
                         ban_mass, evaluate_success, lifetime_payoff,
-                        lifetime_payoff_general, lifetime_payoff_multi,
-                        lifetime_payoff_typed, normal_model, signal_cutoff,
+                        normal_model, signal_cutoff,
                         steady_state_profile, truncated_profile, welfare,
-                        win_mass, win_prob, TypeMix)
+                        win_mass, TypeMix)
 
 import oracles
 from reference import V30_SBAR_FULL, V50_SBAR_EQ
@@ -62,11 +61,11 @@ def test_win_prob_trivial_cases(model_v50):
     p = model_v50
     profile = truncated_profile(p.quality, 0.0)
     ev = evaluate_success(profile, p)
-    assert abs(win_prob(ev.sbar, ev) - 0.5) < 1e-12  # zero-mean symmetric noise
-    assert win_prob(ev.sbar + 10 * p.noise.stddev, ev) >= 1.0 - 1e-8
+    assert abs(ev.win_prob(ev.sbar) - 0.5) < 1e-12  # zero-mean symmetric noise
+    assert ev.win_prob(ev.sbar + 10 * p.noise.stddev) >= 1.0 - 1e-8
     under = evaluate_success(truncated_profile(p.quality,
                                                p.first_best_cutoff), p)
-    assert win_prob(-50.0, under) == 1.0
+    assert under.win_prob(-50.0) == 1.0
 
 
 def test_win_mass_bounds_and_trivials(model_v50):
@@ -119,8 +118,9 @@ def test_payoff_never_submit_is_zero(model_v50):
     p = model_v50
     ev = evaluate_success(truncated_profile(p.quality, 0.0), p)
     assert lifetime_payoff(NEVER_SUBMIT, ev, p) == 0.0
-    assert lifetime_payoff_multi(NEVER_SUBMIT, ev, 7, p) == 0.0
-    assert lifetime_payoff_typed(NEVER_SUBMIT, ev, p.quality, p) == 0.0
+    assert lifetime_payoff(NEVER_SUBMIT, ev, p,
+                           policy=RejectionExclusion(7)) == 0.0
+    assert lifetime_payoff(NEVER_SUBMIT, ev, p, base=p.quality) == 0.0
 
 
 def test_payoff_always_winning(model_v50):
@@ -161,7 +161,7 @@ def test_payoff_recursion_residual(model_v50):
 def test_general_payoff_reduces_without_exclusion(model_v50):
     p = model_v50
     ev = evaluate_success(truncated_profile(p.quality, 0.2), p)
-    x = lifetime_payoff_general(0.2, ev, -INF, p)
+    x = lifetime_payoff(0.2, ev, p, policy=SignalExclusion(-INF))
     win = win_mass(0.2, ev, p.quality)
     reject = (1.0 - p.quality.cdf(0.2)) - win
     static = (win * p.win_value - reject * p.reject_cost) / (1.0 - p.discount)
@@ -178,8 +178,8 @@ def test_general_payoff_coincides_when_ban_equals_rejection(model_v50,
                                    RejectionExclusion(1))
     ev = evaluate_success(profile, p)
     a = lifetime_payoff(v50_exclusion.cutoff, ev, p, FAST_QUADRATURE)
-    b = lifetime_payoff_general(v50_exclusion.cutoff, ev, ev.sbar, p,
-                                FAST_QUADRATURE)
+    b = lifetime_payoff(v50_exclusion.cutoff, ev, p, FAST_QUADRATURE,
+                        policy=SignalExclusion(ev.sbar))
     assert abs(a - b) < 1e-10
     a_default = lifetime_payoff(v50_exclusion.cutoff, ev, p)
     assert abs(a_default - a) < 1e-8
@@ -189,7 +189,7 @@ def test_general_payoff_matches_value_iteration(model_v50):
     p = model_v50
     profile = steady_state_profile(p, 0.5, RejectionExclusion(1))
     ev = evaluate_success(profile, p)
-    x = lifetime_payoff_general(0.5, ev, 2.0, p)
+    x = lifetime_payoff(0.5, ev, p, policy=SignalExclusion(2.0))
     ref = oracles.value_iter_payoff(0.5, ev.sbar, 0.0, math.sqrt(2.0),
                                     math.sqrt(5.0), p.win_value,
                                     p.reject_cost, p.discount, sbar_ban=2.0)
@@ -200,8 +200,10 @@ def test_multi_period_payoff_reductions(model_v20):
     p = model_v20
     profile = steady_state_profile(p, 0.0, RejectionExclusion(5))
     ev = evaluate_success(profile, p)
-    assert lifetime_payoff_multi(0.0, ev, 1, p) == lifetime_payoff(0.0, ev, p)
-    xs = [lifetime_payoff_multi(0.0, ev, t, p) for t in (1, 2, 5, 20)]
+    assert lifetime_payoff(0.0, ev, p, policy=RejectionExclusion(1)) == \
+        lifetime_payoff(0.0, ev, p)
+    xs = [lifetime_payoff(0.0, ev, p, policy=RejectionExclusion(t))
+          for t in (1, 2, 5, 20)]
     assert all(a > b for a, b in zip(xs, xs[1:]))  # longer bans hurt
     ref = oracles.value_iter_payoff(0.0, ev.sbar, 0.0, 1.0, 1.0, p.win_value,
                                     p.reject_cost, p.discount, ban_periods=5)
@@ -211,7 +213,7 @@ def test_multi_period_payoff_reductions(model_v20):
 def test_typed_payoff_single_type_reduces(model_v50):
     p = model_v50
     ev = evaluate_success(truncated_profile(p.quality, 0.3), p)
-    assert abs(lifetime_payoff_typed(0.3, ev, p.quality, p)
+    assert abs(lifetime_payoff(0.3, ev, p, base=p.quality)
                - lifetime_payoff(0.3, ev, p)) < 1e-12
 
 
@@ -221,7 +223,7 @@ def test_typed_payoff_matches_value_iteration():
                      budget=0.1, discount=0.97, types=types)
     profile = truncated_profile(p.quality, 0.8, 0.9)
     ev = evaluate_success(profile, p)
-    x = lifetime_payoff_typed(0.8, ev, types[0].quality, p)
+    x = lifetime_payoff(0.8, ev, p, base=types[0].quality)
     ref = oracles.value_iter_payoff(0.8, ev.sbar, 0.5, 1.0, math.sqrt(2.0),
                                     p.win_value, p.reject_cost, p.discount,
                                     ban_periods=1)
@@ -250,7 +252,7 @@ def test_closed_forms_match_recursions_on_random_draws():
                                         p.discount, ban_periods=1)
         assert abs(x - ref) < 1e-8
         t = int(rng.integers(2, 12))
-        xt = lifetime_payoff_multi(Q, ev, t, p)
+        xt = lifetime_payoff(Q, ev, p, policy=RejectionExclusion(t))
         ref_t = oracles.value_iter_payoff(Q, ev.sbar, p.quality.mean, sd_q,
                                           sd_s, p.win_value, p.reject_cost,
                                           p.discount, ban_periods=t)

@@ -161,6 +161,13 @@ def test_long_bans_drive_eligibility_to_budget(model_v20):
     assert abs(out.eligibility[0] - expected) < 1e-10
 
 
+def test_very_long_bans_meet_residual_contract(model_v20):
+    # eligibility near the budget flattens the clearing mass; the residual
+    # must still meet the 1e-8 contract
+    out = solve_multi_period(model_v20, 5000)
+    assert out.residual < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # signal-threshold bans
 
