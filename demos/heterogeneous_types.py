@@ -21,8 +21,8 @@ print(f"  strong type: cutoff {out.cutoffs[0]:+.4f}, eligible share "
 print(f"  weak type:   cutoff {out.cutoffs[1]:+.4f}, eligible share "
       f"{out.eligibility[1]:.4f} of 0.5")
 print(f"  lifetime payoffs: {out.payoff_x[0]:.2f} vs {out.payoff_x[1]:.2f}")
-print(f"  best-response residual {out.residual:.1e}, eligibility fixed-point "
-      f"residual {out.eligibility_residual:.1e}")
+print(f"  indifference residual {out.residual:.1e}, flow-balance residual "
+      f"{out.eligibility_residual:.1e}")
 
 # without bans both types would use the same entry rule
 pooled = solve_benchmark(params)

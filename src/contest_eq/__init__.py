@@ -13,8 +13,7 @@ from .equilibria import (EquilibriumOutcome, NoConvergence, NoRoot,
                          best_response, equilibrium_curves, solve_benchmark,
                          solve_exclusion, solve_multi_period,
                          solve_signal_cutoff, solve_two_type,
-                         steady_state_eligibility, steady_state_profile,
-                         type_eligibility_shares)
+                         steady_state_eligibility, steady_state_profile)
 from .analysis import (DominanceReport, HypothesisUnmet, SweepEntry,
                        WinnerDensity, compare_winners, first_best, sweep,
                        winner_density)

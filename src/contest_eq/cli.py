@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import compare_winners, first_best, sweep, winner_density
+from .analysis import (_SOLVER_ERRORS, compare_winners, first_best, sweep,
+                       winner_density)
 from .core import (ModelParams, NoExclusion, RejectionExclusion,
                    SignalExclusion, TypeMix, normal_model)
 from .distributions import FAST_QUADRATURE, Normal
@@ -319,7 +320,7 @@ def _cmd_simulate(cfg):
 
 def _cmd_compare(cfg):
     base = solve_benchmark(cfg.params)
-    other = cfg.solve()
+    other = base if cfg.regime == "benchmark" else cfg.solve()
     h0 = winner_density(
         steady_state_profile(cfg.params, base.cutoff, NoExclusion()),
         cfg.params, cfg.grid_size)
@@ -400,7 +401,7 @@ def _cmd_figures(cfg):
         lhs_t, rhs_t = equilibrium_curves(params, RejectionExclusion(t), grid)
         rows += [[f"eq_lhs_t{t}", q, y] for q, y in zip(grid, lhs_t)]
         rows += [[f"eq_rhs_t{t}", q, y] for q, y in zip(grid, rhs_t)]
-        out_t = solve_multi_period(params, t)
+        out_t = exc if t == 1 else solve_multi_period(params, t)
         ok = ok and out_t.residual < RESIDUAL_CONTRACT
         rows += [["root", t, out_t.cutoff]]
     _write_csv(os.path.join(outdir, "figure3.csv"), ["series", "x", "y"], rows)
@@ -454,7 +455,7 @@ def main(argv=None):
                   sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except Exception as exc:  # solver/simulator failure
+    except _SOLVER_ERRORS as exc:  # a programming error propagates
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")

@@ -204,13 +204,15 @@ class SuccessEvaluation:
         return out if out.ndim else float(out)
 
 
-def signal_cutoff(profile, params, quad=DEFAULT_QUADRATURE, hint=None):
+def signal_cutoff(profile, params, quad=DEFAULT_QUADRATURE):
     """Market-clearing funding threshold for a submission profile.
 
     Returns -inf when the volume of submissions does not exceed the budget
     (everything is funded).  Otherwise bisects the strictly decreasing
-    clearing residual to |residual| < 1e-10, expanding the bracket
-    geometrically up to +-50 combined sigmas before giving up.
+    clearing residual until the bracket collapses, expanding it
+    geometrically up to +-50 combined sigmas before giving up.  Stopping on
+    the bracket rather than on the clearing mass keeps the threshold exact
+    when eligibility, and with it the clearing slope, is small.
     """
     vol = profile.volume()
     if vol <= params.budget + _BUDGET_EPS:
@@ -224,7 +226,7 @@ def signal_cutoff(profile, params, quad=DEFAULT_QUADRATURE, hint=None):
             quad) - params.budget
 
     lo_s, hi_s = profile.support()
-    center = 0.5 * (lo_s + hi_s) if hint is None else hint
+    center = 0.5 * (lo_s + hi_s)
     sigma = max((hi_s - lo_s) / (2.0 * quad.truncation_sigmas), noise.stddev)
     span = max(hi_s - lo_s, noise.stddev) * 0.25
     cap = 50.0 * (sigma + noise.stddev)
@@ -245,10 +247,7 @@ def signal_cutoff(profile, params, quad=DEFAULT_QUADRATURE, hint=None):
 
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        fmid = clearing(mid)
-        if abs(fmid) < 1e-10:
-            return mid
-        if fmid > 0.0:
+        if clearing(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -257,9 +256,9 @@ def signal_cutoff(profile, params, quad=DEFAULT_QUADRATURE, hint=None):
     return 0.5 * (lo + hi)
 
 
-def evaluate_success(profile, params, quad=DEFAULT_QUADRATURE, hint=None):
+def evaluate_success(profile, params, quad=DEFAULT_QUADRATURE):
     """Solve market clearing and package the success function."""
-    sbar = signal_cutoff(profile, params, quad, hint)
+    sbar = signal_cutoff(profile, params, quad)
     return SuccessEvaluation(sbar=sbar, profile=profile, noise=params.noise)
 
 

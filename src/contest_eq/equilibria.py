@@ -1,15 +1,17 @@
 """Steady-state equilibrium solvers for the five policy regimes.
 
-Each regime reduces to a one-dimensional root problem in the entry cutoff
-(two coupled ones for the heterogeneous population): the marginal quality
-must be indifferent between submitting and staying out, given the
-competition that the cutoff itself regenerates every period.  Solvers scan a
-uniform grid for sign changes of the defining residual, bisect every bracket,
-report all roots, and return the smallest as the canonical outcome.
+Each regime reduces to a one-dimensional root problem in the entry cutoff:
+the marginal quality must be indifferent between submitting and staying
+out, given the competition that the cutoff itself regenerates every period.
+Solvers scan a uniform grid for sign changes of the defining residual,
+bisect every bracket, report all roots, and return the smallest as the
+canonical outcome.  The heterogeneous population is one joint root problem
+in every type's cutoff and eligible share.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +22,7 @@ from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
                    SuccessEvaluation, ban_mass, evaluate_success,
                    lifetime_payoff, truncated_profile, welfare, win_mass)
-from .distributions import (_GL_NODES, _GL_WEIGHTS, FAST_QUADRATURE, Normal,
-                            Quadrature)
+from .distributions import _GL_NODES, _GL_WEIGHTS, FAST_QUADRATURE, Normal
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -36,7 +37,7 @@ class NoRoot(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """The two-type outer iteration failed even after the grid fallback."""
+    """The two-type root misses its residual contract."""
 
     def __init__(self, message, best_residual=None):
         super().__init__(message)
@@ -290,16 +291,12 @@ def _unique_root_right(residual, start, hi_cap):
     raise NoRoot("best-response residual never crossed zero")
 
 
-def best_response(profile, params, policy, quad=FAST_QUADRATURE,
-                  base_dist=None):
+def best_response(profile, params, policy, quad=FAST_QUADRATURE):
     """Optimal stationary entry cutoff against a fixed recurrent profile.
 
     Returns -inf (always submit) when the profile leaves the contest
-    under-subscribed.  `base_dist` selects the researcher's own quality
-    distribution (defaults to the population's).
+    under-subscribed.
     """
-    if base_dist is None:
-        base_dist = params.quality
     if profile.volume() <= params.budget + 1e-12:
         return ALWAYS_SUBMIT
     ev = evaluate_success(profile, params, quad)
@@ -310,11 +307,11 @@ def best_response(profile, params, policy, quad=FAST_QUADRATURE,
         return start
 
     def residual(cutoff):
-        x = lifetime_payoff(cutoff, ev, params, quad, policy, base_dist)
+        x = lifetime_payoff(cutoff, ev, params, quad, policy)
         return float(ev.win_prob(cutoff)) - \
             policy.indifference(cutoff, x, params)
 
-    hi_cap = max(base_dist.support_hint[1],
+    hi_cap = max(params.quality.support_hint[1],
                  ev.sbar + 12.0 * params.noise.stddev) + 1.0
     return _unique_root_right(residual, start, hi_cap)
 
@@ -332,47 +329,21 @@ def _type_profile(params, cutoffs, shares):
     return SubmissionProfile(tuple(comps))
 
 
-def type_eligibility_shares(params, cutoffs, quad=FAST_QUADRATURE,
-                            start=None, damping=0.5, tol=1e-10,
-                            max_iter=10_000):
-    """Steady-state eligible population share per type for fixed cutoffs.
-
-    Damped iteration of the per-type flow balance: next period's eligible
-    share is the type share minus this period's rejections.  Returns
-    (shares, residual).
-    """
-    lam = np.array([t.share for t in params.types])
-    surv = np.array([1.0 - t.quality.cdf(q)
-                     for t, q in zip(params.types, cutoffs)])
-    if float(lam @ surv) <= params.budget:
-        return tuple(lam), 0.0
-
-    shares = np.array(start if start is not None else lam, dtype=float)
-    hint = None
-
-    def step(a):
-        nonlocal hint
-        profile = _type_profile(params, cutoffs, a)
-        vol = profile.volume()
-        if vol <= params.budget + 1e-12:
-            funded = a * surv
-        else:
-            ev = evaluate_success(profile, params, quad, hint=hint)
-            hint = ev.sbar
-            funded = np.array([
-                a[i] * win_mass(cutoffs[i], ev, params.types[i].quality, quad)
-                for i in range(len(a))])
-        return lam - a * surv + funded
-
-    for _ in range(max_iter):
-        target = step(shares)
-        new = (1.0 - damping) * shares + damping * target
-        if float(np.max(np.abs(new - shares))) < tol:
-            shares = new
-            break
-        shares = new
-    resid = float(np.max(np.abs(shares - step(shares))))
-    return tuple(float(a) for a in shares), resid
+def _type_state(params, policy, cutoffs, shares, quad):
+    """(gaps, flows, profile, evaluation, payoffs) at candidate cutoffs and
+    eligible population shares: per type, the marginal win probability less
+    the indifference level, and the type share minus the eligible share and
+    the rejections among it (the net inflow into the eligible share)."""
+    profile = _type_profile(params, cutoffs, shares)
+    ev = evaluate_success(profile, params, quad)
+    gaps, flows, payoffs = [], [], []
+    for t, q, a in zip(params.types, cutoffs, shares):
+        x = lifetime_payoff(q, ev, params, quad, policy, t.quality)
+        reject = 1.0 - t.quality.cdf(q) - win_mass(q, ev, t.quality, quad)
+        gaps.append(float(ev.win_prob(q)) - policy.indifference(q, x, params))
+        flows.append(t.share - a * reject - a)
+        payoffs.append(x)
+    return np.array(gaps), np.array(flows), profile, ev, payoffs
 
 
 def _fosd_on_grid(d_hi, d_lo, n=400):
@@ -382,126 +353,75 @@ def _fosd_on_grid(d_hi, d_lo, n=400):
     return bool(np.all(np.asarray(d_hi.cdf(qs)) <= np.asarray(d_lo.cdf(qs)) + 1e-12))
 
 
-def solve_two_type(params, quad=FAST_QUADRATURE, damping=0.5, tol=1e-9,
-                   max_outer=500):
+def _newton(fun, x):
+    """Root of a smooth map near `x`: Newton steps on a forward-difference
+    Jacobian, each halved until the largest residual falls.  Returns once a
+    step is below 1e-12 relative, which is convergence or a stall; the
+    caller checks the residual."""
+    x = np.asarray(x, dtype=float)
+    f = fun(x)
+    for _ in range(50):
+        h = 1e-7 * (1.0 + np.abs(x))
+        jac = np.column_stack([(fun(x + e * hj) - f) / hj
+                               for e, hj in zip(np.eye(x.size), h)])
+        step = np.linalg.solve(jac, -f)
+        while np.any(np.abs(step) >= 1e-12 * (1.0 + np.abs(x))):
+            f_new = fun(x + step)
+            if np.max(np.abs(f_new)) < np.max(np.abs(f)):
+                break
+            step *= 0.5
+        else:
+            return x
+        x, f = x + step, f_new
+    return x
+
+
+def solve_two_type(params, quad=FAST_QUADRATURE):
     """Steady state with one-period rejection bans and two researcher types.
 
-    Alternating damped best responses over the pair of cutoffs, with the
-    per-type eligibility fixed point re-solved at every step.  If the
-    iteration oscillates, a coarse joint residual grid restarts it from the
-    best cell; failing that NoConvergence reports the best residual seen.
+    One root problem in every type's cutoff and eligible population share:
+    each type is indifferent at its cutoff and its eligible share balances
+    its inflow.  Newton's method solves it from the pooled exclusion steady
+    state.  The returned point is checked against both contracts
+    (indifference 1e-8, flow balance 1e-9) and a dominant type must use the
+    weakly higher cutoff; NoConvergence reports any miss.
     """
     if not params.types or len(params.types) != 2:
         raise ValueError("two-type solver needs exactly two configured types")
     policy = RejectionExclusion(1)
     pooled = solve_exclusion(params, quad)
-    cutoffs = [pooled.cutoff, pooled.cutoff]
-    shares, _ = type_eligibility_shares(params, cutoffs, quad)
-
-    def one_pass(cutoffs, shares):
-        # gap measures optimality directly: distance of each cutoff from its
-        # best response, independent of the damping factor
-        gap = 0.0
-        for i in (0, 1):
-            shares, _ = type_eligibility_shares(params, cutoffs, quad,
-                                                start=shares)
-            profile = _type_profile(params, cutoffs, shares)
-            br = best_response(profile, params, policy, quad,
-                               base_dist=params.types[i].quality)
-            if br == ALWAYS_SUBMIT:
-                br = params.types[i].quality.quantile(_GRID_FLOOR_P)
-            gap = max(gap, abs(br - cutoffs[i]))
-            cutoffs[i] = (1.0 - damping) * cutoffs[i] + damping * br
-        return cutoffs, shares, gap
-
-    gap_tol = tol
-    converged = False
-    history = []
-    for it in range(max_outer):
-        cutoffs, shares, gap = one_pass(cutoffs, shares)
-        history.append(gap)
-        if gap < gap_tol:
-            converged = True
-            break
-        if len(history) > 60 and history[-1] > 0.9 * max(history[-40:-1]):
-            break  # oscillating, try the grid fallback
-
-    if not converged:
-        cutoffs, shares = _two_type_grid_fallback(params, quad)
-        for it in range(max_outer):
-            cutoffs, shares, gap = one_pass(cutoffs, shares)
-            if gap < gap_tol:
-                converged = True
-                break
-
-    shares, elig_resid = type_eligibility_shares(params, cutoffs, quad,
-                                                 start=shares)
-    profile = _type_profile(params, cutoffs, shares)
-    ev = evaluate_success(profile, params, quad)
-    payoffs, residual = _type_indifference(params, policy, ev, cutoffs, quad)
-    if not converged and residual > 1e-8:
+    n = len(params.types)
+    seed = [pooled.cutoff] * n + \
+        [t.share * pooled.eligibility[0] for t in params.types]
+    z = _newton(lambda x: np.concatenate(
+        _type_state(params, policy, x[:n], x[n:], quad)[:2]), seed)
+    cutoffs, shares = tuple(map(float, z[:n])), tuple(map(float, z[n:]))
+    gaps, flows, profile, ev, payoffs = _type_state(params, policy, cutoffs,
+                                                    shares, quad)
+    residual, elig_resid = (float(np.max(np.abs(r))) for r in (gaps, flows))
+    if not (residual < 1e-8 and elig_resid < 1e-9):
         raise NoConvergence(
-            f"two-type iteration stalled (best residual {residual:.3e})",
-            best_residual=residual)
-
-    if _fosd_on_grid(params.types[0].quality, params.types[1].quality):
-        assert cutoffs[0] >= cutoffs[1] - 1e-9, \
-            "dominant type must use the weakly higher cutoff"
+            f"two-type root missed its contract (indifference {residual:.3e},"
+            f" flow balance {elig_resid:.3e})",
+            best_residual=max(residual, elig_resid))
+    for (qa, ta), (qb, tb) in itertools.permutations(
+            zip(cutoffs, params.types), 2):
+        if qa < qb - 1e-9 and _fosd_on_grid(ta.quality, tb.quality):
+            raise NoConvergence("a dominant type uses the lower cutoff",
+                                best_residual=residual)
 
     return EquilibriumOutcome(
         regime="two_type",
-        cutoffs=tuple(cutoffs),
-        eligibility=tuple(shares),
+        cutoffs=cutoffs,
+        eligibility=shares,
         sbar=ev.sbar,
         submission_volume=profile.volume(),
         residual=residual,
-        all_roots=(tuple(cutoffs),),
+        all_roots=(cutoffs,),
         welfare=welfare(profile, params, quad),
         payoff_x=tuple(payoffs),
         eligibility_residual=elig_resid,
     )
-
-
-def _type_indifference(params, policy, ev, cutoffs, quad):
-    """Each type's lifetime payoff at its cutoff, and the largest gap between
-    a type's marginal win probability and its indifference level."""
-    payoffs = [lifetime_payoff(q, ev, params, quad, policy, t.quality)
-               for q, t in zip(cutoffs, params.types)]
-    gap = max(abs(float(ev.win_prob(q)) - policy.indifference(q, x, params))
-              for q, x in zip(cutoffs, payoffs))
-    return payoffs, gap
-
-
-def _two_type_grid_fallback(params, quad, n=50):
-    """Coarse joint scan of the two best-response residuals; returns the
-    best cell as a restart point for the damped iteration.  A 50x50 lattice
-    with a loosened inner tolerance keeps the scan to tens of seconds; it
-    only needs to land in the right basin, not at solver precision."""
-    policy = RejectionExclusion(1)
-    lo0 = params.types[0].quality.quantile(1e-4)
-    lo1 = params.types[1].quality.quantile(1e-4)
-    hi = params.first_best_cutoff
-    g0 = np.linspace(lo0, hi, n)
-    g1 = np.linspace(lo1, hi, n)
-    best, best_val = (g0[0], g1[0]), math.inf
-    coarse = Quadrature(method="gauss_legendre", panels=4)
-    shares = None
-    for q0 in g0:
-        row_shares = shares
-        for q1 in g1:
-            row_shares, _ = type_eligibility_shares(
-                params, (q0, q1), coarse, start=row_shares, tol=1e-6,
-                max_iter=2000)
-            profile = _type_profile(params, (q0, q1), row_shares)
-            if profile.volume() <= params.budget:
-                continue
-            ev = evaluate_success(profile, params, coarse)
-            val = _type_indifference(params, policy, ev, (q0, q1), coarse)[1]
-            if val < best_val:
-                best, best_val = (q0, q1), val
-        shares = row_shares
-    shares, _ = type_eligibility_shares(params, best, quad)
-    return list(best), shares
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,8 @@ def test_criterion_9_two_type_suite(model_v50):
     collapse = max(abs(degenerate.cutoffs[0] - pooled.cutoff),
                    abs(degenerate.cutoffs[1] - pooled.cutoff))
     _report(9, "two researcher types: selectivity ordering and reduction", [
-        ("best-response residuals < 1e-8", out.residual < 1e-8),
-        ("eligibility fixed point residual < 1e-9",
+        ("indifference residuals < 1e-8", out.residual < 1e-8),
+        ("flow-balance residual < 1e-9",
          out.eligibility_residual < 1e-9),
         ("stronger type uses the strictly higher cutoff",
          out.cutoffs[0] > out.cutoffs[1]),

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contest_eq import equilibria
 from contest_eq.cli import (ParseError, ValidationError, main,
                             parse_config, run_command)
 
@@ -56,6 +57,19 @@ path = {path}
 def _read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def _count_solves(monkeypatch):
+    """Count single-cutoff equilibrium solves from here on."""
+    calls = []
+    solve = equilibria._solve_common
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(equilibria, "_solve_common", counted)
+    return calls
 
 
 def test_parse_config_echoes_model_values(tmp_path):
@@ -187,7 +201,7 @@ def test_simulate_tracks_analytic_eligibility(tmp_path):
     assert abs(elig.mean() - alpha) < 0.01
 
 
-def test_compare_command_reports_single_crossing(tmp_path):
+def test_compare_command_reports_single_crossing(tmp_path, monkeypatch):
     out = tmp_path / "cmp.csv"
     cfg = parse_config(V50_DOC.format(path=out))
     cfg.command = "compare"
@@ -197,9 +211,15 @@ def test_compare_command_reports_single_crossing(tmp_path):
     assert float(report["qbar"]) > float(report["policy_cutoff"])
     grid = _read_rows(out)
     assert set(grid[0]) == {"q", "h_policy", "h_benchmark", "cdf_diff"}
+    # a benchmark regime is its own reference: one solve, not two
+    calls = _count_solves(monkeypatch)
+    assert main(["compare", "--config", str(CONFIGS / "free_entry.ini"),
+                 "--out", str(tmp_path / "free.csv")]) == 0
+    assert len(calls) == 1
 
 
-def test_figures_command_reproduces_ban_length_ordering(tmp_path):
+def test_figures_command_reproduces_ban_length_ordering(tmp_path,
+                                                       monkeypatch):
     outdir = tmp_path / "figs"
     doc = """
 [model]
@@ -216,7 +236,10 @@ path = {path}
 """.format(path=outdir)
     cfg = parse_config(doc)
     cfg.command = "figures"
+    calls = _count_solves(monkeypatch)
     assert run_command(cfg) == 0
+    # benchmark, then t = 1 (shared by figures 2 and 3), 5 and 50
+    assert len(calls) == 4
     for name in ("figure1.csv", "figure2.csv", "figure3.csv"):
         assert (outdir / name).exists()
     roots = {}
@@ -238,6 +261,16 @@ def test_sweep_command(tmp_path):
     rows = _read_rows(out)
     assert [float(r["axis_value"]) for r in rows] == [50.0, 500.0]
     assert all(float(r["residual"]) < 1e-8 for r in rows)
+
+
+def test_programming_errors_propagate(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr(equilibria, "_solve_common", broken)
+    with pytest.raises(TypeError, match="broken solver"):
+        main(["solve", "--config", str(CONFIGS / "free_entry.ini"),
+              "--out", str(tmp_path / "o.csv")])
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

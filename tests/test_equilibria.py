@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from contest_eq import (ALWAYS_SUBMIT, Normal, NoExclusion,
-                        RejectionExclusion, SignalExclusion, TypeMix,
-                        ban_mass, best_response, equilibrium_curves,
+from contest_eq import (ALWAYS_SUBMIT, FAST_QUADRATURE, NoConvergence, Normal,
+                        NoExclusion, RejectionExclusion, SignalExclusion,
+                        TypeMix, ban_mass, best_response, equilibrium_curves,
                         evaluate_success, normal_model, solve_benchmark,
                         solve_exclusion, solve_multi_period,
                         solve_signal_cutoff, solve_two_type,
-                        steady_state_profile, truncated_profile,
-                        type_eligibility_shares)
+                        steady_state_profile, truncated_profile, win_mass)
+from contest_eq import equilibria
 
 from reference import (EXCLUSION_V400_ROOT, V30_Q0, V50_Q0, V50_Q1,
                        V50_ALPHA1, V50_SC_INF_ROOT, V20_BAN_ROOTS, TWO_TYPE_AH,
@@ -168,6 +168,18 @@ def test_very_long_bans_meet_residual_contract(model_v20):
     assert out.residual < 1e-8
 
 
+@pytest.mark.parametrize("periods", [1000, 5000])
+def test_scalar_clearing_matches_solver_threshold(model_v20, periods):
+    # the scalar clearing solve bisects to bracket collapse like the
+    # vectorized residual, so both give the same threshold at a root where
+    # the clearing slope is small
+    policy = RejectionExclusion(periods)
+    out = solve_multi_period(model_v20, periods)
+    profile = steady_state_profile(model_v20, out.cutoff, policy)
+    assert abs(evaluate_success(profile, model_v20, FAST_QUADRATURE).sbar
+               - out.sbar) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # signal-threshold bans
 
@@ -236,14 +248,15 @@ def test_two_type_stronger_type_is_more_selective(two_type_outcome):
 
 
 def test_two_type_shares_solve_flow_balance(two_type_params, two_type_outcome):
-    # re-derive the steady-state shares by direct damped iteration from a
-    # different starting point and compare
+    # re-derive each type's flow balance at the outcome: the type share
+    # refills the eligible share, rejections among the eligible drain it
     p, out = two_type_params, two_type_outcome
-    shares, resid = type_eligibility_shares(p, out.cutoffs,
-                                            start=(0.25, 0.45))
-    assert resid < 1e-9
-    assert abs(shares[0] - out.eligibility[0]) < 1e-8
-    assert abs(shares[1] - out.eligibility[1]) < 1e-8
+    profile = equilibria._type_profile(p, out.cutoffs, out.eligibility)
+    ev = evaluate_success(profile, p, FAST_QUADRATURE)
+    for t, q, a in zip(p.types, out.cutoffs, out.eligibility):
+        wins = win_mass(q, ev, t.quality, FAST_QUADRATURE)
+        inflow = t.share - a * (1.0 - t.quality.cdf(q)) + a * wins
+        assert abs(inflow - a) < 1e-9
 
 
 def test_two_type_identical_types_collapse_to_pooled():
@@ -262,6 +275,31 @@ def test_two_type_identical_types_collapse_to_pooled():
 def test_two_type_needs_two_types(model_v50):
     with pytest.raises(ValueError):
         solve_two_type(model_v50)
+
+
+def test_two_type_random_draw_meets_contracts():
+    # unequal type variances and a small prize far from the pinned model
+    types = (TypeMix(0.42508819789798513,
+                     Normal(0.47510724983544644, 2.2283425881943533)),
+             TypeMix(1.0 - 0.42508819789798513,
+                     Normal(0.0, 0.9464296954359298)))
+    p = normal_model(var_signal=2.6794088921934254, reject_cost=1.0,
+                     win_value=5.134335821866616, budget=0.11562367818752538,
+                     discount=0.8800258747035015, types=types)
+    out = solve_two_type(p)
+    assert out.residual < 1e-8
+    assert out.eligibility_residual < 1e-9
+    assert out.cutoffs[0] > out.cutoffs[1]
+
+
+def test_two_type_root_missing_its_contract_raises(two_type_params,
+                                                   monkeypatch):
+    # a root finder that never leaves the pooled seed
+    monkeypatch.setattr(equilibria, "_newton",
+                        lambda fun, x: np.asarray(x, dtype=float))
+    with pytest.raises(NoConvergence) as info:
+        solve_two_type(two_type_params)
+    assert info.value.best_residual > 1e-8
 
 
 # ---------------------------------------------------------------------------
