@@ -1,8 +1,7 @@
 """Equilibria of repeated contests under temporary-exclusion policies."""
 
-from .distributions import (BudgetExceeded, Custom, Mixture, NonFiniteIntegrand,
-                            Normal, OutOfRange, Quadrature, ScalarDistribution,
-                            DEFAULT_QUADRATURE, FAST_QUADRATURE, integrate)
+from .distributions import (Custom, Mixture, NonFiniteIntegrand, Normal,
+                            OutOfRange, ScalarDistribution, integrate)
 from .core import (ALWAYS_SUBMIT, NEVER_SUBMIT, BracketFailure, ModelParams,
                    NoExclusion, ProfileComponent, RejectionExclusion,
                    SignalExclusion, SubmissionProfile, SuccessEvaluation,

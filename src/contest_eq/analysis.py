@@ -15,12 +15,12 @@ import numpy as np
 
 from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
                    evaluate_success, truncated_profile)
-from .distributions import BudgetExceeded, FAST_QUADRATURE, NonFiniteIntegrand
+from .distributions import NonFiniteIntegrand
 from .equilibria import NoConvergence, NoRoot, solve_benchmark
 
 # what a sweep records inline; anything else is a programming error
-_SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, BudgetExceeded,
-                  NonFiniteIntegrand, ValueError)
+_SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, NonFiniteIntegrand,
+                  ValueError)
 
 
 class HypothesisUnmet(RuntimeError):
@@ -65,11 +65,11 @@ class DominanceReport:
     cdf_diff: np.ndarray
 
 
-def winner_density(profile, params, grid_size=1000, quad=FAST_QUADRATURE):
+def winner_density(profile, params, grid_size=1000):
     """Winner-quality density induced by a submission profile."""
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    ev = evaluate_success(profile, params, quad)
+    ev = evaluate_success(profile, params)
     lo, hi = profile.support()
     lo = min(lo, params.quality.support_hint[0])
     hi = max(hi, params.quality.support_hint[1])
@@ -79,15 +79,14 @@ def winner_density(profile, params, grid_size=1000, quad=FAST_QUADRATURE):
         q = np.asarray(q, dtype=float)
         return profile.pdf(q) * ev.win_prob(q)
 
-    mass = profile.integral(lambda q: np.asarray(ev.win_prob(q), dtype=float),
-                            quad)
+    mass = profile.integral(lambda q: np.asarray(ev.win_prob(q), dtype=float))
     kinks = tuple(c.cutoff for c in profile.components
                   if math.isfinite(c.cutoff))
     return WinnerDensity(grid=grid, values=density(grid),
                          total_mass=float(mass), density=density, kinks=kinks)
 
 
-def first_best(params, grid_size=1000, quad=FAST_QUADRATURE):
+def first_best(params, grid_size=1000):
     """Socially optimal entry: the top-budget quantile submits, everything
     is funded, welfare is budget * V."""
     qstar = params.first_best_cutoff
@@ -95,7 +94,7 @@ def first_best(params, grid_size=1000, quad=FAST_QUADRATURE):
     return {
         "cutoff": qstar,
         "welfare": params.budget * params.win_value,
-        "winner_density": winner_density(profile, params, grid_size, quad),
+        "winner_density": winner_density(profile, params, grid_size),
     }
 
 
@@ -215,7 +214,7 @@ class SweepEntry:
     error: str | None = None
 
 
-def sweep(params, axis, values, regime=None, quad=FAST_QUADRATURE):
+def sweep(params, axis, values, regime=None):
     """Solve one equilibrium per value of a model or policy knob.
 
     axis is one of "V", "C", "k", "delta" (model scalars, solved under the
@@ -233,12 +232,12 @@ def sweep(params, axis, values, regime=None, quad=FAST_QUADRATURE):
         try:
             if field is not None:
                 p = dataclasses.replace(params, **{field: float(v)})
-                out = solve_benchmark(p, quad) if regime is None \
-                    else regime.solve(p, quad)
+                out = solve_benchmark(p) if regime is None \
+                    else regime.solve(p)
             elif axis == "t":
-                out = RejectionExclusion(int(v)).solve(params, quad)
+                out = RejectionExclusion(int(v)).solve(params)
             else:
-                out = SignalExclusion(float(v)).solve(params, quad)
+                out = SignalExclusion(float(v)).solve(params)
             entries.append(SweepEntry(value=float(v), outcome=out))
         except _SOLVER_ERRORS as exc:
             entries.append(SweepEntry(value=float(v), error=str(exc)))

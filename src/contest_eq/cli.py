@@ -23,7 +23,7 @@ from .analysis import (_SOLVER_ERRORS, compare_winners, first_best, sweep,
                        winner_density)
 from .core import (ModelParams, NoExclusion, RejectionExclusion,
                    SignalExclusion, TypeMix, normal_model)
-from .distributions import FAST_QUADRATURE, Normal
+from .distributions import Normal
 from .equilibria import (equilibrium_curves, solve_benchmark, solve_exclusion,
                          solve_multi_period, solve_two_type,
                          steady_state_profile)
@@ -257,8 +257,7 @@ def _cmd_solve(cfg):
     else:
         for root in outcome.all_roots:
             rows.append(_outcome_row(
-                _describe(cfg.params, cfg.policy, root, FAST_QUADRATURE,
-                          outcome.all_roots)))
+                _describe(cfg.params, cfg.policy, root, outcome.all_roots)))
     _write_csv(cfg.output_path, _SOLVE_HEADER, rows)
     ok = outcome.residual < RESIDUAL_CONTRACT and \
         outcome.eligibility_residual < 1e-9

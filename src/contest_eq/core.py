@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
-from .distributions import (DEFAULT_QUADRATURE, FAST_QUADRATURE, Mixture,
-                            Normal, ScalarDistribution, integrate)
+from .distributions import (INTEGRATE_PANELS, TRUNCATION_SIGMAS, Mixture,
+                            Normal, ScalarDistribution, _check_finite,
+                            _gl_rule, integrate)
 
 # Entry cutoffs are extended reals: comparisons and cdf evaluation are the
 # only operations ever applied to the infinite values.
@@ -29,7 +31,8 @@ _BUDGET_EPS = 1e-12
 
 
 class BracketFailure(RuntimeError):
-    """No sign change found for the clearing threshold: malformed profile."""
+    """The submitted mass does not exceed the budget on the quadrature
+    nodes, so no threshold clears it: malformed profile."""
 
 
 @dataclass(frozen=True)
@@ -162,17 +165,26 @@ class SubmissionProfile:
             ProfileComponent(c.base, c.cutoff, c.eligibility * factor, c.weight)
             for c in self.components))
 
-    def integral(self, g, quad=DEFAULT_QUADRATURE):
-        """integral phi(q) g(q) dq, split at each component cutoff."""
-        total = 0.0
+    def integral(self, g):
+        """integral phi(q) g(q) dq on the nodes of `_nodes`."""
+        x, mass = self._nodes()
+        return float(np.dot(mass[0], _check_finite(g(x[0]))))
+
+    def _nodes(self):
+        """(qualities, masses): the quadrature nodes of every component,
+        split at its cutoff, and the submitted mass each carries, as one row
+        each."""
+        xs, masses = [np.empty(0)], [np.empty(0)]
         for c in self.components:
             lo, hi = c.base.support_hint
             lo = max(lo, c.cutoff)
             if lo >= hi:
                 continue
-            total += c.weight * c.eligibility * integrate(
-                lambda q, b=c.base: b.pdf(q) * g(q), lo, hi, quad)
-        return total
+            x, w = _gl_rule(lo, hi, INTEGRATE_PANELS)
+            xs.append(x[0])
+            masses.append(c.weight * c.eligibility *
+                          np.asarray(c.base.pdf(x[0]), dtype=float) * w[0])
+        return np.concatenate(xs)[None, :], np.concatenate(masses)[None, :]
 
 
 def truncated_profile(base, cutoff, eligibility=1.0, weight=1.0):
@@ -204,65 +216,69 @@ class SuccessEvaluation:
         return out if out.ndim else float(out)
 
 
-def signal_cutoff(profile, params, quad=DEFAULT_QUADRATURE):
+def _clearing_thresholds(x, mass, params, lo, hi, tol):
+    """Market-clearing signal threshold of every row of quality nodes `x`
+    carrying submitted mass `mass`: the signal at which the mass whose
+    signal clears it equals the budget.
+
+    Bisects every row at once on the bracket [lo + mean - 10 sd,
+    hi + mean + 10 sd] of the noise-standardized signal, for
+    ceil(log2(span / tol)) steps, so each bracket ends narrower than `tol`.
+    Stopping on the bracket rather than on the clearing mass keeps the
+    threshold exact when eligibility, and with it the clearing slope, is
+    small.  Raises BracketFailure when a row's node mass does not exceed
+    the budget.
+    """
+    noise, k = params.noise, params.budget
+    if np.any(np.sum(mass, axis=1) <= k):
+        raise BracketFailure("submitted mass does not exceed the budget")
+    sd = noise.stddev
+    b_lo = (lo + noise.mean - TRUNCATION_SIGMAS * sd) / sd
+    b_hi = (hi + noise.mean + TRUNCATION_SIGMAS * sd) / sd
+    steps = max(math.ceil(math.log2((b_hi - b_lo) * sd / tol)), 1)
+    if isinstance(noise, Normal):
+        xn = (x + noise.mean) / sd  # noise cdf(s - q) = ndtr(s/sd - xn)
+        buf = np.empty_like(xn)
+
+        def survival(b):
+            # in place: fresh node-matrix temporaries every step cost a
+            # tenth of a 2000-point scan
+            ndtr(np.subtract(b[:, None], xn, out=buf), out=buf)
+            return np.subtract(1.0, buf, out=buf)
+    else:
+        survival = lambda b: 1.0 - np.asarray(noise.cdf(b[:, None] * sd - x),
+                                              dtype=float)
+    lo_b, hi_b = np.full(len(x), b_lo), np.full(len(x), b_hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo_b + hi_b)
+        right = np.einsum("ij,ij->i", mass, survival(mid)) - k > 0.0
+        lo_b = np.where(right, mid, lo_b)
+        hi_b = np.where(right, hi_b, mid)
+    return 0.5 * (lo_b + hi_b) * sd
+
+
+def signal_cutoff(profile, params):
     """Market-clearing funding threshold for a submission profile.
 
     Returns -inf when the volume of submissions does not exceed the budget
-    (everything is funded).  Otherwise bisects the strictly decreasing
-    clearing residual until the bracket collapses, expanding it
-    geometrically up to +-50 combined sigmas before giving up.  Stopping on
-    the bracket rather than on the clearing mass keeps the threshold exact
-    when eligibility, and with it the clearing slope, is small.
+    (everything is funded).  Otherwise bisects the clearing integral on the
+    profile's quadrature nodes until the bracket is narrower than 1e-14,
+    smooth enough for the two-type solver's finite-difference Jacobian.
     """
-    vol = profile.volume()
-    if vol <= params.budget + _BUDGET_EPS:
+    if profile.volume() <= params.budget + _BUDGET_EPS:
         return -math.inf
-
-    noise = params.noise
-
-    def clearing(s):
-        return profile.integral(
-            lambda q: 1.0 - np.asarray(noise.cdf(s - q), dtype=float),
-            quad) - params.budget
-
-    lo_s, hi_s = profile.support()
-    center = 0.5 * (lo_s + hi_s)
-    sigma = max((hi_s - lo_s) / (2.0 * quad.truncation_sigmas), noise.stddev)
-    span = max(hi_s - lo_s, noise.stddev) * 0.25
-    cap = 50.0 * (sigma + noise.stddev)
-    lo, hi = center - span, center + span
-    flo, fhi = clearing(lo), clearing(hi)
-    while flo < 0.0:
-        lo -= span
-        span *= 2.0
-        if center - lo > cap:
-            raise BracketFailure("clearing residual never positive")
-        flo = clearing(lo)
-    while fhi > 0.0:
-        hi += span
-        span *= 2.0
-        if hi - center > cap:
-            raise BracketFailure("clearing residual never negative")
-        fhi = clearing(hi)
-
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if clearing(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    lo, hi = profile.support()
+    x, mass = profile._nodes()
+    return float(_clearing_thresholds(x, mass, params, lo, hi, 1e-14)[0])
 
 
-def evaluate_success(profile, params, quad=DEFAULT_QUADRATURE):
+def evaluate_success(profile, params):
     """Solve market clearing and package the success function."""
-    sbar = signal_cutoff(profile, params, quad)
+    sbar = signal_cutoff(profile, params)
     return SuccessEvaluation(sbar=sbar, profile=profile, noise=params.noise)
 
 
-def win_mass(cutoff, evaluation, base, quad=DEFAULT_QUADRATURE):
+def win_mass(cutoff, evaluation, base):
     """Ex-ante per-period winning probability of a cutoff-`cutoff` researcher
     whose quality is drawn from `base`."""
     if cutoff == NEVER_SUBMIT:
@@ -271,11 +287,10 @@ def win_mass(cutoff, evaluation, base, quad=DEFAULT_QUADRATURE):
         return 1.0 - base.cdf(cutoff)
     lo, hi = base.support_hint
     lo = max(lo, cutoff)
-    return integrate(lambda q: base.pdf(q) * evaluation.win_prob(q),
-                     lo, hi, quad)
+    return integrate(lambda q: base.pdf(q) * evaluation.win_prob(q), lo, hi)
 
 
-def ban_mass(cutoff, sbar_ban, base, noise, quad=DEFAULT_QUADRATURE):
+def ban_mass(cutoff, sbar_ban, base, noise):
     """Ex-ante per-period probability that an eligible researcher triggers
     exclusion: submits (q >= cutoff) and draws a signal below sbar_ban."""
     if sbar_ban == -math.inf or cutoff == NEVER_SUBMIT:
@@ -286,7 +301,7 @@ def ban_mass(cutoff, sbar_ban, base, noise, quad=DEFAULT_QUADRATURE):
     lo = max(lo, cutoff)
     return integrate(
         lambda q: base.pdf(q) * np.asarray(noise.cdf(sbar_ban - q), dtype=float),
-        lo, hi, quad)
+        lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +336,9 @@ class RejectionExclusion:
     def ban_periods(self):
         return self.periods
 
-    def solve(self, params, quad=FAST_QUADRATURE):
+    def solve(self, params):
         from . import equilibria
-        return equilibria.solve_multi_period(params, self.periods, quad)
+        return equilibria.solve_multi_period(params, self.periods)
 
     def ban(self, F, below):
         """No signal-triggered bans: the ban follows the funding outcome."""
@@ -347,7 +362,7 @@ class RejectionExclusion:
         cost = params.reject_cost + d * (1.0 - d ** self.periods) * x
         return cost / (cost + params.win_value)
 
-    def payoff_ban(self, cutoff, reject, base, params, quad):
+    def payoff_ban(self, cutoff, reject, base, params):
         return reject * self._geom(params.discount)
 
     def banned(self, submit, signal, rejected):
@@ -373,9 +388,9 @@ class SignalExclusion:
     def regime(self):
         return f"signal_cutoff(sbar={self.sbar:g})"
 
-    def solve(self, params, quad=FAST_QUADRATURE):
+    def solve(self, params):
         from . import equilibria
-        return equilibria.solve_signal_cutoff(params, self.sbar, quad)
+        return equilibria.solve_signal_cutoff(params, self.sbar)
 
     def ban(self, F, below):
         """`below(s)` integrates the chance of a signal under s over the
@@ -403,8 +418,8 @@ class SignalExclusion:
         g = self._trigger(cutoff, params.noise)
         return (c + d * (1.0 - d) * g * x) / (c + v)
 
-    def payoff_ban(self, cutoff, reject, base, params, quad):
-        return ban_mass(cutoff, self.sbar, base, params.noise, quad)
+    def payoff_ban(self, cutoff, reject, base, params):
+        return ban_mass(cutoff, self.sbar, base, params.noise)
 
     def banned(self, submit, signal, rejected):
         return submit & (signal < self.sbar)
@@ -425,13 +440,13 @@ class NoExclusion(SignalExclusion):
     regime = "benchmark"
     ban_periods = 0
 
-    def solve(self, params, quad=FAST_QUADRATURE):
+    def solve(self, params):
         from . import equilibria
-        return equilibria.solve_benchmark(params, quad)
+        return equilibria.solve_benchmark(params)
 
 
-def lifetime_payoff(cutoff, evaluation, params, quad=DEFAULT_QUADRATURE,
-                    policy=RejectionExclusion(1), base=None):
+def lifetime_payoff(cutoff, evaluation, params, policy=RejectionExclusion(1),
+                    base=None):
     """Discounted lifetime payoff of an eligible researcher who submits at
     or above `cutoff`, facing the same competition every period.
 
@@ -443,14 +458,14 @@ def lifetime_payoff(cutoff, evaluation, params, quad=DEFAULT_QUADRATURE,
         return 0.0
     if base is None:
         base = params.quality
-    win = win_mass(cutoff, evaluation, base, quad)
+    win = win_mass(cutoff, evaluation, base)
     reject = (1.0 - base.cdf(cutoff)) - win
-    ban = policy.payoff_ban(cutoff, reject, base, params, quad)
+    ban = policy.payoff_ban(cutoff, reject, base, params)
     v, c, d = params.win_value, params.reject_cost, params.discount
     return (win * v - reject * c) / ((1.0 - d) * (1.0 + d * ban))
 
 
-def welfare(profile, params, quad=DEFAULT_QUADRATURE):
+def welfare(profile, params):
     """Aggregate per-period researcher welfare under a submission profile.
 
     Over-subscribed contests fund exactly the budget, so welfare is

@@ -1,17 +1,17 @@
 """Scalar distributions and the numerical integration kernel.
 
 Quality and review-noise inputs are continuous distributions with strictly
-positive densities.  Every integral in the package funnels through
-`integrate`, so tolerance and determinism live here.  Infinite limits are
-truncated at mean +- truncation_sigmas standard deviations of the governing
-distribution; for normal tails the mass beyond 10 sigma is ~1e-23, far
-below every tolerance used downstream.
+positive densities.  Every integral in the package uses one composite
+Gauss-Legendre rule (`_gl_rule`, behind `integrate`), so tolerance and
+determinism live here.  Infinite limits are truncated at mean +-
+TRUNCATION_SIGMAS standard deviations of the governing distribution; for
+normal tails the mass beyond 10 sigma is ~1e-23, far below every tolerance
+used downstream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -25,48 +25,41 @@ class NonFiniteIntegrand(ValueError):
     """Integrand returned nan or inf inside the integration domain."""
 
 
-class BudgetExceeded(RuntimeError):
-    """Adaptive subdivision hit its evaluation budget before converging."""
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Integration settings shared across the package.
-
-    method is "adaptive_simpson" (default, error-controlled) or
-    "gauss_legendre" (composite 64-node panels; effectively exact for the
-    smooth integrands here and much faster inside solver scans and sweeps).
-    """
-
-    method: str = "adaptive_simpson"
-    abs_tol: float = 1e-10
-    truncation_sigmas: float = 10.0
-    max_evals: int = 500_000
-    panels: int = 8
-
-    def __post_init__(self):
-        if self.method not in ("adaptive_simpson", "gauss_legendre"):
-            raise ValueError(f"unknown quadrature method: {self.method!r}")
-        if self.abs_tol <= 0 or self.truncation_sigmas <= 0:
-            raise ValueError("abs_tol and truncation_sigmas must be positive")
-
-
-DEFAULT_QUADRATURE = Quadrature()
-FAST_QUADRATURE = Quadrature(method="gauss_legendre")
+# Infinite limits are truncated this many standard deviations out; composite
+# Gauss-Legendre panels per integral for `integrate` and for the residual scan.
+TRUNCATION_SIGMAS = 10.0
+INTEGRATE_PANELS = 8
+SCAN_PANELS = 4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def integrate(f, lo, hi, quad=DEFAULT_QUADRATURE, support=None):
+def _gl_rule(lows, hi, panels):
+    """Composite 64-node Gauss-Legendre rule on [low, hi] for every entry of
+    `lows`: (nodes, weights) arrays with one row per lower limit and
+    `panels` equal panels per row."""
+    lows = np.atleast_1d(np.asarray(lows, dtype=float))
+    n = lows.size
+    edges = lows[:, None] + (hi - lows)[:, None] * \
+        np.linspace(0.0, 1.0, panels + 1)[None, :]
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(n, -1)
+    w = (half[:, :, None] * _GL_WEIGHTS).reshape(n, -1)
+    return x, w
+
+
+def integrate(f, lo, hi, support=None):
     """Definite integral of a smooth vectorized integrand.
 
     `f` takes a float ndarray and returns one.  Infinite endpoints are
     clamped to `support` (the truncated support of the governing
     distribution); passing an infinite endpoint without a support is an
-    error.  Returns 0.0 for an empty clamped domain.
+    error.  Returns 0.0 for an empty clamped domain.  The rule is the
+    composite 64-node Gauss-Legendre one, effectively exact for the smooth
+    integrands here.
 
-    Raises NonFiniteIntegrand if `f` produces nan/inf, BudgetExceeded if
-    adaptive subdivision exhausts `quad.max_evals`.
+    Raises NonFiniteIntegrand if `f` produces nan/inf.
     """
     lo, hi = float(lo), float(hi)
     if math.isinf(lo) or math.isinf(hi):
@@ -80,67 +73,15 @@ def integrate(f, lo, hi, quad=DEFAULT_QUADRATURE, support=None):
         raise ValueError("integration endpoints must be finite after clamping")
     if hi <= lo:
         return 0.0
-    if quad.method == "gauss_legendre":
-        return _gauss_legendre(f, lo, hi, quad.panels)
-    return _adaptive_simpson(f, lo, hi, quad.abs_tol, quad.max_evals)
+    x, w = _gl_rule(lo, hi, INTEGRATE_PANELS)
+    return float(np.dot(w[0], _check_finite(f(x[0]))))
 
 
 def _check_finite(values):
+    values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand("integrand returned non-finite values")
     return values
-
-
-def _gauss_legendre(f, lo, hi, panels):
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    y = _check_finite(np.asarray(f(x), dtype=float))
-    return float(np.dot(w, y))
-
-
-def _adaptive_simpson(f, lo, hi, abs_tol, max_evals):
-    # Batched adaptive Simpson: every refinement level evaluates the
-    # integrand once on all pending midpoints, so f sees arrays.
-    seed = 8
-    xs = np.linspace(lo, hi, 2 * seed + 1)
-    ys = _check_finite(np.asarray(f(xs), dtype=float))
-    n_evals = xs.size
-
-    a, m, b = xs[0:-2:2], xs[1:-1:2], xs[2::2]
-    fa, fm, fb = ys[0:-2:2], ys[1:-1:2], ys[2::2]
-    s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    total = 0.0
-    width = hi - lo
-    while a.size:
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        new_x = np.concatenate([lm, rm])
-        new_y = _check_finite(np.asarray(f(new_x), dtype=float))
-        n_evals += new_x.size
-        if n_evals > max_evals:
-            raise BudgetExceeded(
-                f"adaptive Simpson exceeded {max_evals} evaluations")
-        flm, frm = new_y[: a.size], new_y[a.size:]
-        sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = sl + sr - s
-        # richardson-corrected error is ~err/15, so accepting at 2x the
-        # per-interval budget keeps the corrected total well under abs_tol
-        done = np.abs(err) <= 2.0 * abs_tol * np.maximum((b - a) / width, 1e-12)
-        total += float(np.sum(sl[done] + sr[done] + err[done] / 15.0))
-        keep = ~done
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
-        m = np.concatenate([lm[keep], rm[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        s = np.concatenate([sl[keep], sr[keep]])
-    return total
 
 
 class ScalarDistribution:
@@ -199,7 +140,7 @@ def _check_prob(p):
 class Normal(ScalarDistribution):
     """Normal distribution parameterized by mean and variance."""
 
-    def __init__(self, mean, variance, truncation_sigmas=10.0):
+    def __init__(self, mean, variance):
         if not 0.0 < variance < math.inf:
             raise ValueError("variance must be positive and finite")
         if not math.isfinite(mean):
@@ -207,7 +148,7 @@ class Normal(ScalarDistribution):
         self.mean = float(mean)
         self.variance = float(variance)
         self.stddev = math.sqrt(self.variance)
-        half = truncation_sigmas * self.stddev
+        half = TRUNCATION_SIGMAS * self.stddev
         self.support_hint = (self.mean - half, self.mean + half)
 
     def __repr__(self):
@@ -246,10 +187,10 @@ class Custom(ScalarDistribution):
         self.support_hint = (float(support[0]), float(support[1]))
         if mean is None:
             mean = integrate(lambda q: q * np.asarray(pdf(q), dtype=float),
-                             *self.support_hint, FAST_QUADRATURE)
+                             *self.support_hint)
         if stddev is None:
             m2 = integrate(lambda q: q * q * np.asarray(pdf(q), dtype=float),
-                           *self.support_hint, FAST_QUADRATURE)
+                           *self.support_hint)
             stddev = math.sqrt(max(m2 - mean * mean, 1e-300))
         self.mean = float(mean)
         self.stddev = float(stddev)

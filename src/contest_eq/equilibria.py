@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
-                   SuccessEvaluation, ban_mass, evaluate_success,
-                   lifetime_payoff, truncated_profile, welfare, win_mass)
-from .distributions import _GL_NODES, _GL_WEIGHTS, FAST_QUADRATURE, Normal
+                   SuccessEvaluation, _clearing_thresholds, ban_mass,
+                   evaluate_success, lifetime_payoff, truncated_profile,
+                   welfare, win_mass)
+from .distributions import SCAN_PANELS, _gl_rule
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -72,25 +72,25 @@ class EquilibriumOutcome:
         return self.cutoffs[0]
 
 
-def steady_state_eligibility(params, cutoff, policy, quad=FAST_QUADRATURE):
+def steady_state_eligibility(params, cutoff, policy):
     """Time-invariant eligible share consistent with a common cutoff."""
     F = params.quality.cdf(cutoff)
     ban = policy.ban(F, lambda s: ban_mass(cutoff, s, params.quality,
-                                           params.noise, quad))
+                                           params.noise))
     return float(policy.eligibility(F, ban, params.budget))
 
 
-def steady_state_profile(params, cutoff, policy, quad=FAST_QUADRATURE):
+def steady_state_profile(params, cutoff, policy):
     """Recurrent submission profile induced by a common cutoff."""
-    elig = steady_state_eligibility(params, cutoff, policy, quad)
+    elig = steady_state_eligibility(params, cutoff, policy)
     return truncated_profile(params.quality, cutoff, elig)
 
 
 def _bisect_root(residual, lo, hi, flo, tol=_ROOT_TOL):
-    for _ in range(200):
+    """Bisect a bracketed sign change until the bracket is narrower than
+    `tol`: ceil(log2((hi - lo) / tol)) residual calls at most."""
+    for _ in range(math.ceil(math.log2(max(hi - lo, tol) / tol))):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
         fmid = residual(mid)
         if fmid == 0.0:
             return mid
@@ -102,35 +102,22 @@ def _bisect_root(residual, lo, hi, flo, tol=_ROOT_TOL):
     return 0.5 * (lo + hi)
 
 
-def _batch_residuals(params, policy, grid, quad):
+def _batch_residuals(params, policy, grid):
     """Equilibrium residual on a cutoff grid in one vectorized pass; a single
     cutoff is a size-1 grid.
 
     Builds the Gauss-Legendre node matrix for every truncated integral at
-    once and bisects all clearing thresholds simultaneously until each
-    bracket has collapsed below 1e-10.  Stopping on the bracket rather than
-    on the clearing mass keeps the threshold exact when eligibility, and
-    with it the clearing slope, is small.  Returns (residual, rhs, interior,
-    sbar, eligibility) arrays, rhs being the policy's indifference level.
+    once and solves all clearing thresholds together, each to a bracket
+    below 1e-10 in the signal.  Returns (residual, rhs, interior, sbar,
+    eligibility) arrays, rhs being the policy's indifference level.
     """
-    if quad.method != "gauss_legendre":
-        raise ValueError("equilibrium solvers need a Gauss-Legendre "
-                         "quadrature")
     f, noise = params.quality, params.noise
     k = params.budget
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    n = grid.size
     lo_s, hi_s = f.support_hint
-    panels = max(quad.panels // 2, 4)
 
-    lows = np.maximum(grid, lo_s)
-    edges = lows[:, None] + (hi_s - lows)[:, None] * \
-        np.linspace(0.0, 1.0, panels + 1)[None, :]
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(n, -1)
-    w = (half[:, :, None] * _GL_WEIGHTS).reshape(n, -1)
-    fw = np.asarray(f.pdf(x.ravel()), dtype=float).reshape(n, -1) * w
+    x, w = _gl_rule(np.maximum(grid, lo_s), hi_s, SCAN_PANELS)
+    fw = np.asarray(f.pdf(x.ravel()), dtype=float).reshape(x.shape) * w
 
     noise_cdf = lambda v: np.asarray(noise.cdf(v), dtype=float)
     F = np.asarray(f.cdf(grid), dtype=float)
@@ -141,34 +128,17 @@ def _batch_residuals(params, policy, grid, quad):
     vol = elig * (1.0 - F)
     interior = vol > k + 1e-12
 
-    # bisect every clearing threshold at once; under-subscribed points get W=1
-    sd = noise.stddev
+    # under-subscribed points fund everyone: W = 1
     rows = np.nonzero(interior)[0]
-    xn = (x[rows] + noise.mean) / sd  # signal cdf(s - q) = ndtr(s/sd - xn)
-    scale = elig[rows, None] * fw[rows]
-    lo_b = np.full(rows.size, (lo_s - quad.truncation_sigmas * sd) / sd)
-    hi_b = np.full(rows.size, (hi_s + quad.truncation_sigmas * sd) / sd)
-    span = float(hi_b[0] - lo_b[0]) * sd if rows.size else 0.0
-    iters = max(int(math.ceil(math.log2(max(span, 1e-12) / 1e-10))), 1)
-    generic = not isinstance(noise, Normal)
-    for _ in range(iters):
-        mid_b = 0.5 * (lo_b + hi_b)
-        if generic:
-            surv = 1.0 - noise_cdf(mid_b[:, None] * sd - x[rows])
-        else:
-            surv = 1.0 - ndtr(mid_b[:, None] - xn)
-        clearing = np.einsum("ij,ij->i", scale, surv)
-        go_right = clearing - k > 0.0
-        lo_b = np.where(go_right, mid_b, lo_b)
-        hi_b = np.where(go_right, hi_b, mid_b)
-    sbar = np.full(n, -math.inf)
-    sbar[rows] = 0.5 * (lo_b + hi_b) * sd
+    sbar = np.full(grid.size, -math.inf)
+    sbar[rows] = _clearing_thresholds(x[rows], elig[rows, None] * fw[rows],
+                                      params, lo_s, hi_s, 1e-10)
     with np.errstate(invalid="ignore"):
         w_at = np.where(interior, 1.0 - noise_cdf(sbar - grid), 1.0)
     return w_at - rhs, rhs, interior, sbar, elig
 
 
-def _scan_roots(params, policy, quad, grid_points):
+def _scan_roots(params, policy):
     """Global sign-change scan below the first-best cutoff, extending left
     when the left edge indicates the smallest root lies below the grid;
     every bracket is bisected on the same residual."""
@@ -177,12 +147,12 @@ def _scan_roots(params, policy, quad, grid_points):
     hi = qstar - 1e-9 * (1.0 + abs(qstar))
     floor = params.quality.mean - 60.0 * params.quality.stddev
 
-    values = lambda g: _batch_residuals(params, policy, g, quad)[0]
-    grid = np.linspace(lo, hi, grid_points)
+    values = lambda g: _batch_residuals(params, policy, g)[0]
+    grid = np.linspace(lo, hi, GRID_POINTS)
     vals = values(grid)
     while vals[0] > 0.0 and grid[0] > floor:
         ext_lo = max(grid[0] - (hi - grid[0]), floor)
-        ext = np.linspace(ext_lo, grid[0], max(grid_points // 4, 64))
+        ext = np.linspace(ext_lo, grid[0], max(GRID_POINTS // 4, 64))
         ext_vals = values(ext)
         grid = np.concatenate([ext[:-1], grid])
         vals = np.concatenate([ext_vals[:-1], vals])
@@ -195,44 +165,44 @@ def _scan_roots(params, policy, quad, grid_points):
     return sorted(roots)
 
 
-def _describe(params, policy, cutoff, quad, all_roots, hypothesis_met=True):
+def _describe(params, policy, cutoff, all_roots, hypothesis_met=True):
     """Assemble the full outcome record for a solved cutoff."""
-    resid, _, _, sbar, elig = _batch_residuals(params, policy, cutoff, quad)
+    resid, _, _, sbar, elig = _batch_residuals(params, policy, cutoff)
     return _outcome(params, policy, cutoff, float(elig[0]), float(sbar[0]),
-                    quad, residual=float(abs(resid[0])),
+                    residual=float(abs(resid[0])),
                     all_roots=tuple(all_roots), hypothesis_met=hypothesis_met)
 
 
-def _outcome(params, policy, cutoff, elig, sbar, quad, **fields):
+def _outcome(params, policy, cutoff, elig, sbar, **fields):
     profile = truncated_profile(params.quality, cutoff, elig)
     ev = SuccessEvaluation(sbar=sbar, profile=profile, noise=params.noise)
     return EquilibriumOutcome(
         regime=policy.regime, cutoffs=(cutoff,), eligibility=(elig,),
         sbar=sbar, submission_volume=profile.volume(),
-        welfare=welfare(profile, params, quad),
-        payoff_x=(lifetime_payoff(cutoff, ev, params, quad, policy),),
+        welfare=welfare(profile, params),
+        payoff_x=(lifetime_payoff(cutoff, ev, params, policy),),
         **fields)
 
 
-def _solve_common(params, policy, quad, grid_points, hypothesis_met=True):
-    roots = _scan_roots(params, policy, quad, grid_points)
+def _solve_common(params, policy, hypothesis_met=True):
+    roots = _scan_roots(params, policy)
     if roots:
-        interior = _batch_residuals(params, policy, roots, quad)[2]
+        interior = _batch_residuals(params, policy, roots)[2]
         roots = [r for r, keep in zip(roots, interior) if keep]
     if not roots:
         raise NoRoot(f"no equilibrium cutoff found for {policy}")
-    return _describe(params, policy, roots[0], quad, roots, hypothesis_met)
+    return _describe(params, policy, roots[0], roots, hypothesis_met)
 
 
-def solve_benchmark(params, quad=FAST_QUADRATURE, grid_points=GRID_POINTS):
+def solve_benchmark(params):
     """Unique free-entry equilibrium cutoff: the marginal quality wins with
     probability C / (C + V)."""
     if not 0.0 < params.loss_share < 1.0:
         raise NoRoot("loss share outside (0, 1)")
-    return _solve_common(params, NoExclusion(), quad, grid_points)
+    return _solve_common(params, NoExclusion())
 
 
-def solve_exclusion(params, quad=FAST_QUADRATURE, grid_points=GRID_POINTS):
+def solve_exclusion(params):
     """Steady state with one-period rejection bans.
 
     Existence is guaranteed for V/C >= (1-k)/(2k); below that bound the scan
@@ -240,20 +210,18 @@ def solve_exclusion(params, quad=FAST_QUADRATURE, grid_points=GRID_POINTS):
     steady states are possible; all sign-change roots are reported and the
     smallest is returned.
     """
-    return solve_multi_period(params, 1, quad, grid_points)
+    return solve_multi_period(params, 1)
 
 
-def solve_multi_period(params, periods, quad=FAST_QUADRATURE,
-                       grid_points=GRID_POINTS):
+def solve_multi_period(params, periods):
     """Steady state when rejection triggers a ban of `periods` periods."""
     policy = RejectionExclusion(int(periods))
     bound = (1.0 - params.budget) / ((policy.periods + 1) * params.budget)
     met = params.win_value / params.reject_cost >= bound
-    return _solve_common(params, policy, quad, grid_points, hypothesis_met=met)
+    return _solve_common(params, policy, hypothesis_met=met)
 
 
-def solve_signal_cutoff(params, sbar_ban, quad=FAST_QUADRATURE,
-                        grid_points=GRID_POINTS):
+def solve_signal_cutoff(params, sbar_ban):
     """Steady state when exclusion triggers on a review signal below
     `sbar_ban` (funding still clears the market every period).
 
@@ -262,11 +230,11 @@ def solve_signal_cutoff(params, sbar_ban, quad=FAST_QUADRATURE,
     everyone applies and wins; the outcome is returned with corner=True.
     """
     policy = SignalExclusion(float(sbar_ban))
-    elig = steady_state_eligibility(params, ALWAYS_SUBMIT, policy, quad)
+    elig = steady_state_eligibility(params, ALWAYS_SUBMIT, policy)
     if params.budget >= elig:  # under-subscribed: everyone is funded
-        return _outcome(params, policy, ALWAYS_SUBMIT, elig, -math.inf, quad,
+        return _outcome(params, policy, ALWAYS_SUBMIT, elig, -math.inf,
                         residual=0.0, all_roots=(ALWAYS_SUBMIT,), corner=True)
-    return _solve_common(params, policy, quad, grid_points)
+    return _solve_common(params, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +259,7 @@ def _unique_root_right(residual, start, hi_cap):
     raise NoRoot("best-response residual never crossed zero")
 
 
-def best_response(profile, params, policy, quad=FAST_QUADRATURE):
+def best_response(profile, params, policy):
     """Optimal stationary entry cutoff against a fixed recurrent profile.
 
     Returns -inf (always submit) when the profile leaves the contest
@@ -299,7 +267,7 @@ def best_response(profile, params, policy, quad=FAST_QUADRATURE):
     """
     if profile.volume() <= params.budget + 1e-12:
         return ALWAYS_SUBMIT
-    ev = evaluate_success(profile, params, quad)
+    ev = evaluate_success(profile, params)
     # the quality whose win probability is C / (C + V): the free-entry best
     # response, and the lower end of the search with bans
     start = ev.sbar - params.noise.quantile(1.0 - params.loss_share)
@@ -307,7 +275,7 @@ def best_response(profile, params, policy, quad=FAST_QUADRATURE):
         return start
 
     def residual(cutoff):
-        x = lifetime_payoff(cutoff, ev, params, quad, policy)
+        x = lifetime_payoff(cutoff, ev, params, policy)
         return float(ev.win_prob(cutoff)) - \
             policy.indifference(cutoff, x, params)
 
@@ -329,17 +297,17 @@ def _type_profile(params, cutoffs, shares):
     return SubmissionProfile(tuple(comps))
 
 
-def _type_state(params, policy, cutoffs, shares, quad):
+def _type_state(params, policy, cutoffs, shares):
     """(gaps, flows, profile, evaluation, payoffs) at candidate cutoffs and
     eligible population shares: per type, the marginal win probability less
     the indifference level, and the type share minus the eligible share and
     the rejections among it (the net inflow into the eligible share)."""
     profile = _type_profile(params, cutoffs, shares)
-    ev = evaluate_success(profile, params, quad)
+    ev = evaluate_success(profile, params)
     gaps, flows, payoffs = [], [], []
     for t, q, a in zip(params.types, cutoffs, shares):
-        x = lifetime_payoff(q, ev, params, quad, policy, t.quality)
-        reject = 1.0 - t.quality.cdf(q) - win_mass(q, ev, t.quality, quad)
+        x = lifetime_payoff(q, ev, params, policy, t.quality)
+        reject = 1.0 - t.quality.cdf(q) - win_mass(q, ev, t.quality)
         gaps.append(float(ev.win_prob(q)) - policy.indifference(q, x, params))
         flows.append(t.share - a * reject - a)
         payoffs.append(x)
@@ -376,7 +344,7 @@ def _newton(fun, x):
     return x
 
 
-def solve_two_type(params, quad=FAST_QUADRATURE):
+def solve_two_type(params):
     """Steady state with one-period rejection bans and two researcher types.
 
     One root problem in every type's cutoff and eligible population share:
@@ -389,15 +357,15 @@ def solve_two_type(params, quad=FAST_QUADRATURE):
     if not params.types or len(params.types) != 2:
         raise ValueError("two-type solver needs exactly two configured types")
     policy = RejectionExclusion(1)
-    pooled = solve_exclusion(params, quad)
+    pooled = solve_exclusion(params)
     n = len(params.types)
     seed = [pooled.cutoff] * n + \
         [t.share * pooled.eligibility[0] for t in params.types]
     z = _newton(lambda x: np.concatenate(
-        _type_state(params, policy, x[:n], x[n:], quad)[:2]), seed)
+        _type_state(params, policy, x[:n], x[n:])[:2]), seed)
     cutoffs, shares = tuple(map(float, z[:n])), tuple(map(float, z[n:]))
     gaps, flows, profile, ev, payoffs = _type_state(params, policy, cutoffs,
-                                                    shares, quad)
+                                                    shares)
     residual, elig_resid = (float(np.max(np.abs(r))) for r in (gaps, flows))
     if not (residual < 1e-8 and elig_resid < 1e-9):
         raise NoConvergence(
@@ -418,7 +386,7 @@ def solve_two_type(params, quad=FAST_QUADRATURE):
         submission_volume=profile.volume(),
         residual=residual,
         all_roots=(cutoffs,),
-        welfare=welfare(profile, params, quad),
+        welfare=welfare(profile, params),
         payoff_x=tuple(payoffs),
         eligibility_residual=elig_resid,
     )
@@ -428,12 +396,12 @@ def solve_two_type(params, quad=FAST_QUADRATURE):
 # diagnostics used by figure output and the uniqueness checks
 
 
-def equilibrium_curves(params, policy, grid, quad=FAST_QUADRATURE):
+def equilibrium_curves(params, policy, grid):
     """Both sides of the defining equation on a cutoff grid.
 
     Returns (lhs, rhs) arrays: lhs is the win probability of the marginal
     quality under the steady-state competition it induces, rhs the
     indifference level of the policy's equilibrium equation.
     """
-    resid, rhs = _batch_residuals(params, policy, grid, quad)[:2]
+    resid, rhs = _batch_residuals(params, policy, grid)[:2]
     return resid + rhs, rhs

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from contest_eq.cli import (ParseError, ValidationError, main,
 from reference import V50_Q1, V20_BAN_ROOTS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 V30_DOC = """
 [model]
@@ -277,3 +281,12 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] in ("FileNotFoundError", "OSError")
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize adds about 22 MB of resident memory and 0.25 s of
+    # import to every process that loads it
+    code = ("import sys, contest_eq, contest_eq.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

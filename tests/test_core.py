@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from contest_eq import (ALWAYS_SUBMIT, FAST_QUADRATURE, NEVER_SUBMIT, Normal,
-                        RejectionExclusion, SignalExclusion,
+from contest_eq import (ALWAYS_SUBMIT, NEVER_SUBMIT, Normal,
+                        ProfileComponent, RejectionExclusion, SignalExclusion,
+                        SubmissionProfile,
                         ban_mass, evaluate_success, lifetime_payoff,
                         normal_model, signal_cutoff,
                         steady_state_profile, truncated_profile, welfare,
@@ -51,6 +52,18 @@ def test_exclusion_profile_clearing_threshold(model_v50, v50_exclusion):
                                    RejectionExclusion(1))
     sbar = signal_cutoff(profile, model_v50)
     assert abs(sbar - V50_SBAR_EQ) < 1e-8
+
+
+def test_two_component_clearing_matches_brute_force():
+    # two truncated types with their own cutoffs, shares and eligibilities
+    hi_type, lo_type = Normal(0.5, 1.2), Normal(-0.3, 0.8)
+    profile = SubmissionProfile((ProfileComponent(hi_type, 0.1, 0.7, 0.4),
+                                 ProfileComponent(lo_type, -0.5, 0.9, 0.6)))
+    p = normal_model(var_signal=2.0, budget=0.1)
+    expected = oracles.mixture_clearing_sbar(
+        [(0.4 * 0.7, 0.1, 0.5, math.sqrt(1.2)),
+         (0.6 * 0.9, -0.5, -0.3, math.sqrt(0.8))], 0.1, 2.0)
+    assert abs(signal_cutoff(profile, p) - expected) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +190,8 @@ def test_general_payoff_coincides_when_ban_equals_rejection(model_v50,
     profile = steady_state_profile(p, v50_exclusion.cutoff,
                                    RejectionExclusion(1))
     ev = evaluate_success(profile, p)
-    a = lifetime_payoff(v50_exclusion.cutoff, ev, p, FAST_QUADRATURE)
-    b = lifetime_payoff(v50_exclusion.cutoff, ev, p, FAST_QUADRATURE,
+    a = lifetime_payoff(v50_exclusion.cutoff, ev, p)
+    b = lifetime_payoff(v50_exclusion.cutoff, ev, p,
                         policy=SignalExclusion(ev.sbar))
     assert abs(a - b) < 1e-10
     a_default = lifetime_payoff(v50_exclusion.cutoff, ev, p)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from contest_eq import (BudgetExceeded, Custom, Mixture, NonFiniteIntegrand,
-                        Normal, OutOfRange, Quadrature, integrate,
-                        DEFAULT_QUADRATURE, FAST_QUADRATURE)
+from contest_eq import (Custom, Mixture, NonFiniteIntegrand, Normal,
+                        OutOfRange, integrate)
 
 import oracles
 from reference import STD_NORMAL_Q90
@@ -15,9 +14,8 @@ INF = math.inf
 
 def test_normal_pdf_normalizes():
     n = Normal(0.0, 1.0)
-    for quad in (DEFAULT_QUADRATURE, FAST_QUADRATURE):
-        total = integrate(n.pdf, -INF, INF, quad, support=n.support_hint)
-        assert abs(total - 1.0) < 1e-8
+    total = integrate(n.pdf, -INF, INF, support=n.support_hint)
+    assert abs(total - 1.0) < 1e-8
 
 
 def test_tail_mass_above_quantile():
@@ -70,13 +68,11 @@ def test_cdf_exact_at_infinities():
 
 def test_normal_moments_match_quadrature():
     n = Normal(0.7, 2.3)
-    for quad in (DEFAULT_QUADRATURE, FAST_QUADRATURE):
-        mean = integrate(lambda q: q * n.pdf(q), -INF, INF, quad,
-                         support=n.support_hint)
-        second = integrate(lambda q: q * q * n.pdf(q), -INF, INF, quad,
-                           support=n.support_hint)
-        assert abs(mean - 0.7) < 1e-8
-        assert abs(second - (2.3 + 0.7 ** 2)) < 1e-8
+    mean = integrate(lambda q: q * n.pdf(q), -INF, INF, support=n.support_hint)
+    second = integrate(lambda q: q * q * n.pdf(q), -INF, INF,
+                       support=n.support_hint)
+    assert abs(mean - 0.7) < 1e-8
+    assert abs(second - (2.3 + 0.7 ** 2)) < 1e-8
 
 
 def test_integrate_is_deterministic():
@@ -99,20 +95,9 @@ def test_integrate_requires_support_for_infinite_limits():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_integrand_raises():
+    # nan on the half of the domain below 0.5, which the nodes sample
     with pytest.raises(NonFiniteIntegrand):
-        integrate(lambda q: 1.0 / (q - 0.5), 0.0, 1.0)
-
-
-def test_budget_exceeded_on_rough_integrand():
-    quad = Quadrature(abs_tol=1e-14, max_evals=300)
-    with pytest.raises(BudgetExceeded):
-        integrate(lambda q: np.sin(200.0 * q) * np.abs(q) ** 0.1, 0.0, 10.0,
-                  quad)
-
-
-def test_quadrature_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        Quadrature(method="monte_carlo")
+        integrate(lambda q: np.sqrt(q - 0.5), 0.0, 1.0)
 
 
 def test_custom_distribution_synthesizes_quantile():
@@ -143,11 +128,3 @@ def test_mixture_density_and_weights():
         assert abs(mix.cdf(mix.quantile(p)) - p) < 1e-10
     with pytest.raises(ValueError):
         Mixture([(0.6, Normal(0, 1)), (0.6, Normal(1, 1))])
-
-
-def test_gauss_legendre_agrees_with_adaptive_simpson():
-    n = Normal(0.4, 1.7)
-    f = lambda q: n.pdf(q) * np.cos(q)
-    a = integrate(f, -6.0, 6.0, DEFAULT_QUADRATURE)
-    b = integrate(f, -6.0, 6.0, FAST_QUADRATURE)
-    assert abs(a - b) < 1e-10

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contest_eq import (ALWAYS_SUBMIT, FAST_QUADRATURE, NoConvergence, Normal,
+from contest_eq import (ALWAYS_SUBMIT, NoConvergence, Normal,
                         NoExclusion, RejectionExclusion, SignalExclusion,
                         TypeMix, ban_mass, best_response, equilibrium_curves,
                         evaluate_success, normal_model, solve_benchmark,
@@ -33,6 +33,19 @@ def test_benchmark_reproduces_reference_root(model_v30):
     ev = evaluate_success(truncated_profile(model_v30.quality, out.cutoff),
                           model_v30)
     assert abs(float(ev.win_prob(out.cutoff)) - 1.0 / 31.0) < 1e-8
+
+
+def test_noise_mean_moves_the_threshold_not_the_cutoff(model_v50,
+                                                      v50_benchmark):
+    # review noise centred far from zero shifts every clearing threshold by
+    # its mean and leaves the entry cutoff where it was
+    import dataclasses
+    p = dataclasses.replace(model_v50, noise=Normal(50.0, 5.0))
+    out = solve_benchmark(p)
+    assert abs(out.cutoff - v50_benchmark.cutoff) < 1e-8
+    assert abs(out.sbar - v50_benchmark.sbar - 50.0) < 1e-8
+    profile = truncated_profile(p.quality, out.cutoff)
+    assert abs(evaluate_success(profile, p).sbar - out.sbar) < 1e-8
 
 
 def test_benchmark_huge_prize_pushes_cutoff_down(model_v30):
@@ -176,8 +189,23 @@ def test_scalar_clearing_matches_solver_threshold(model_v20, periods):
     policy = RejectionExclusion(periods)
     out = solve_multi_period(model_v20, periods)
     profile = steady_state_profile(model_v20, out.cutoff, policy)
-    assert abs(evaluate_success(profile, model_v20, FAST_QUADRATURE).sbar
+    assert abs(evaluate_success(profile, model_v20).sbar
                - out.sbar) < 1e-10
+
+
+def test_root_bisection_stops_after_its_step_count():
+    # near 1e6 one float spacing (1.2e-10) exceeds the tolerance, so the
+    # bracket never gets narrower than tol; the step count must end the
+    # bisection, and a step residual is never exactly zero
+    calls = []
+
+    def step(q):
+        calls.append(q)
+        return -1.0 if q < 1e6 + 0.3 else 1.0
+
+    root = equilibria._bisect_root(step, 1e6, 1e6 + 1.0, -1.0, tol=1e-12)
+    assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12))
+    assert abs(root - (1e6 + 0.3)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +280,9 @@ def test_two_type_shares_solve_flow_balance(two_type_params, two_type_outcome):
     # refills the eligible share, rejections among the eligible drain it
     p, out = two_type_params, two_type_outcome
     profile = equilibria._type_profile(p, out.cutoffs, out.eligibility)
-    ev = evaluate_success(profile, p, FAST_QUADRATURE)
+    ev = evaluate_success(profile, p)
     for t, q, a in zip(p.types, out.cutoffs, out.eligibility):
-        wins = win_mass(q, ev, t.quality, FAST_QUADRATURE)
+        wins = win_mass(q, ev, t.quality)
         inflow = t.share - a * (1.0 - t.quality.cdf(q)) + a * wins
         assert abs(inflow - a) < 1e-9
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from contest_eq import (FAST_QUADRATURE, NoExclusion, RejectionExclusion,
+from contest_eq import (NoExclusion, RejectionExclusion,
                         SignalExclusion, evaluate_success, lifetime_payoff,
                         normal_model, steady_state_eligibility,
                         truncated_profile)
@@ -46,9 +46,8 @@ def _cutoff_grid(params, n=50):
 @given(models())
 def test_signal_bar_at_minus_inf_is_free_entry(params):
     grid = _cutoff_grid(params)
-    sig = _batch_residuals(params, SignalExclusion(-INF), grid,
-                           FAST_QUADRATURE)
-    free = _batch_residuals(params, NoExclusion(), grid, FAST_QUADRATURE)
+    sig = _batch_residuals(params, SignalExclusion(-INF), grid)
+    free = _batch_residuals(params, NoExclusion(), grid)
     for a, b in zip(sig, free):
         assert np.array_equal(a, b)
     _, rhs, _, _, elig = free
@@ -75,9 +74,8 @@ def test_rejection_eligibility_closed_form(params, t):
 @given(models(), policies, st.floats(1e-3, 0.99))
 def test_payoff_default_base_is_the_population(params, policy, p):
     cutoff = params.quality.quantile(p * (1.0 - params.budget))
-    ev = evaluate_success(truncated_profile(params.quality, cutoff), params,
-                          FAST_QUADRATURE)
-    x = lifetime_payoff(cutoff, ev, params, FAST_QUADRATURE, policy)
+    ev = evaluate_success(truncated_profile(params.quality, cutoff), params)
+    x = lifetime_payoff(cutoff, ev, params, policy)
     assert math.isfinite(x)
-    assert lifetime_payoff(cutoff, ev, params, FAST_QUADRATURE, policy,
+    assert lifetime_payoff(cutoff, ev, params, policy,
                            base=params.quality) == x
