@@ -15,12 +15,15 @@ import numpy as np
 
 from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
                    evaluate_success, truncated_profile)
-from .distributions import NonFiniteIntegrand
+from .distributions import NonFiniteIntegrand, _bisect_root, _gl_rule
 from .equilibria import NoConvergence, NoRoot, solve_benchmark
 
 # what a sweep records inline; anything else is a programming error
 _SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, NonFiniteIntegrand,
                   ValueError)
+
+# cumulative and pointwise differences within this slack count as ties
+_SLACK = 1e-9
 
 
 class HypothesisUnmet(RuntimeError):
@@ -40,13 +43,11 @@ class WinnerDensity:
     grid: np.ndarray
     values: np.ndarray
     total_mass: float
-    density: object = None
-    kinks: tuple = ()
+    density: object
+    kinks: tuple
 
     def __call__(self, q):
-        if self.density is not None:
-            return self.density(q)
-        return np.interp(q, self.grid, self.values)
+        return self.density(q)
 
 
 @dataclass(frozen=True)
@@ -109,19 +110,18 @@ def _increasing_hazard(noise, n=512):
     return bool(np.all(np.diff(hazard) >= -1e-9 * np.maximum(hazard[:-1], 1.0)))
 
 
-def compare_winners(h, h0, params=None, hazard_check=True, slack=1e-9):
+def compare_winners(h, h0, params):
     """Order two winner densities of equal funded mass.
 
-    Cumulative comparison on the common grid decides dominance; otherwise a
-    sign scan of h - h0 looks for the single-crossing pattern (h above on
-    [entry cutoff, qbar], below outside) and locates qbar by bisection.
+    The noise must have an increasing hazard rate (HypothesisUnmet
+    otherwise).  Cumulative comparison on the common grid decides
+    dominance; otherwise a sign scan of h - h0 looks for the single-crossing
+    pattern (h above on [entry cutoff, qbar], below outside) and locates
+    qbar by bisection.
     """
-    if hazard_check:
-        if params is None:
-            raise ValueError("hazard_check requires params")
-        if not _increasing_hazard(params.noise):
-            raise HypothesisUnmet("noise distribution lacks an increasing "
-                                  "hazard rate")
+    if not _increasing_hazard(params.noise):
+        raise HypothesisUnmet("noise distribution lacks an increasing "
+                              "hazard rate")
     if h.grid.shape != h0.grid.shape or not np.allclose(h.grid, h0.grid):
         raise ValueError("winner densities must share a grid")
 
@@ -129,8 +129,8 @@ def compare_winners(h, h0, params=None, hazard_check=True, slack=1e-9):
     diff = h.values - h0.values
     cdf_diff = _cumulative_difference(h, h0, grid)
 
-    h_dominates = bool(np.all(cdf_diff <= slack))
-    h0_dominates = bool(np.all(cdf_diff >= -slack))
+    h_dominates = bool(np.all(cdf_diff <= _SLACK))
+    h0_dominates = bool(np.all(cdf_diff >= -_SLACK))
     if h_dominates and h0_dominates:
         return DominanceReport("incomparable", None, grid, cdf_diff)
     if h_dominates:
@@ -138,7 +138,7 @@ def compare_winners(h, h0, params=None, hazard_check=True, slack=1e-9):
     if h0_dominates:
         return DominanceReport("dominated_by", None, grid, cdf_diff)
 
-    qbar = _single_crossing_point(h, h0, grid, diff, slack)
+    qbar = _single_crossing_point(h, h0, grid, diff)
     if qbar is not None:
         return DominanceReport("single_crossing", qbar, grid, cdf_diff)
     return DominanceReport("incomparable", None, grid, cdf_diff)
@@ -153,11 +153,7 @@ def _cumulative_difference(h, h0, grid):
     edges = np.asarray(grid, dtype=float)
     extra = [k for k in kinks if edges[0] < k < edges[-1]]
     all_edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    mid = 0.5 * (all_edges[:-1] + all_edges[1:])
-    half = 0.5 * (all_edges[1:] - all_edges[:-1])
-    x = mid[:, None] + half[:, None] * nodes
-    w = half[:, None] * weights
+    x, w = _gl_rule(all_edges[:-1], all_edges[1:], 1)
     vals = (np.asarray(h(x.ravel()), dtype=float)
             - np.asarray(h0(x.ravel()), dtype=float)).reshape(x.shape)
     panel = np.sum(vals * w, axis=1)
@@ -166,43 +162,29 @@ def _cumulative_difference(h, h0, grid):
     return cum[pos]
 
 
-def _single_crossing_point(h, h0, grid, diff, slack):
+def _single_crossing_point(h, h0, grid, diff):
     """Largest down-crossing of h - h0, validated against the sign pattern:
     non-negative from the entry cutoff up to the crossing, non-positive
     after.  Ties break toward larger quality."""
-    pos = np.nonzero(diff > slack)[0]
+    pos = np.nonzero(diff > _SLACK)[0]
     if pos.size == 0:
         return None
     last_pos = pos[-1]
-    after = np.nonzero(diff[last_pos:] < -slack)[0]
+    after = np.nonzero(diff[last_pos:] < -_SLACK)[0]
     if after.size == 0:
         return None
     i_hi = last_pos + after[0]
     lo_q, hi_q = grid[i_hi - 1], grid[i_hi]
 
-    def fn(q):
-        return float(h(q) - h0(q))
-
-    flo = fn(lo_q)
-    for _ in range(100):
-        mid = 0.5 * (lo_q + hi_q)
-        if hi_q - lo_q < 1e-12 * max(1.0, abs(mid)):
-            break
-        fmid = fn(mid)
-        if fmid == 0.0:
-            lo_q = hi_q = mid
-            break
-        if (fmid > 0.0) == (flo > 0.0):
-            lo_q, flo = mid, fmid
-        else:
-            hi_q = mid
-    qbar = 0.5 * (lo_q + hi_q)
+    fn = lambda q: float(h(q) - h0(q))
+    qbar = _bisect_root(fn, lo_q, hi_q, fn(lo_q),
+                        1e-12 * max(1.0, abs(0.5 * (lo_q + hi_q))))
 
     # validate: between the first positive point and qbar the difference
     # stays non-negative; beyond qbar it stays non-positive
     inside = (grid >= grid[pos[0]]) & (grid <= qbar)
     outside_hi = grid > qbar
-    if np.any(diff[inside] < -slack) or np.any(diff[outside_hi] > slack):
+    if np.any(diff[inside] < -_SLACK) or np.any(diff[outside_hi] > _SLACK):
         return None
     return float(qbar)
 

@@ -345,65 +345,58 @@ def _cmd_figures(cfg):
     outdir = cfg.output_path
     os.makedirs(outdir, exist_ok=True)
     params = cfg.params
-    ok = True
 
-    def curve_grid(n=400):
-        lo = params.quality.quantile(1e-6)
-        hi = params.first_best_cutoff - 1e-9
-        return np.linspace(lo, hi, n)
-
-    def density_grid(n=400):
-        return np.linspace(*params.quality.support_hint, n)
+    # every series is evaluated once: equation curves on the cutoff grid,
+    # densities on the quality grid
+    grid = np.linspace(params.quality.quantile(1e-6),
+                       params.first_best_cutoff - 1e-9, 400)
+    dq = np.linspace(*params.quality.support_hint, 400)
+    series = lambda name, xs, ys: [[name, x, y] for x, y in zip(xs, ys)]
+    lhs, rhs = equilibrium_curves(params, NoExclusion(), grid)
+    curves = {t: equilibrium_curves(params, RejectionExclusion(t), grid)
+              for t in (1, 5, 50)}
+    bench = solve_benchmark(params)
+    exc = solve_exclusion(params)
+    outs = {1: exc, 5: solve_multi_period(params, 5),
+            50: solve_multi_period(params, 50)}
+    fb = first_best(params, cfg.grid_size)["winner_density"].density(dq)
+    prof0 = steady_state_profile(params, bench.cutoff, NoExclusion())
+    prof1 = steady_state_profile(params, exc.cutoff, RejectionExclusion(1))
+    sub0, sub1 = prof0.pdf(dq), prof1.pdf(dq)
+    win0 = winner_density(prof0, params, cfg.grid_size).density(dq)
+    win1 = winner_density(prof1, params, cfg.grid_size).density(dq)
 
     # dataset 1: free entry vs first best
-    rows = []
-    grid = curve_grid()
-    lhs, rhs = equilibrium_curves(params, NoExclusion(), grid)
-    rows += [["eq_lhs", q, y] for q, y in zip(grid, lhs)]
-    rows += [["eq_rhs", q, y] for q, y in zip(grid, rhs)]
-    bench = solve_benchmark(params)
-    ok = ok and bench.residual < RESIDUAL_CONTRACT
-    fb = first_best(params, cfg.grid_size)
-    dq = density_grid()
-    prof0 = steady_state_profile(params, bench.cutoff, NoExclusion())
-    h0 = winner_density(prof0, params, cfg.grid_size)
+    rows = series("eq_lhs", grid, lhs) + series("eq_rhs", grid, rhs)
     rows += [["root", 0, bench.cutoff]]
-    rows += [["submissions_first_best", q,
-              fb["winner_density"].density(q)] for q in dq]
-    rows += [["submissions_benchmark", q, prof0.pdf(q)] for q in dq]
-    rows += [["winners_first_best", q, fb["winner_density"].density(q)]
-             for q in dq]
-    rows += [["winners_benchmark", q, h0.density(q)] for q in dq]
+    rows += series("submissions_first_best", dq, fb)
+    rows += series("submissions_benchmark", dq, sub0)
+    rows += series("winners_first_best", dq, fb)
+    rows += series("winners_benchmark", dq, win0)
     _write_csv(os.path.join(outdir, "figure1.csv"), ["series", "x", "y"], rows)
 
     # dataset 2: one-period exclusion vs free entry
-    rows = []
-    lhs1, rhs1 = equilibrium_curves(params, RejectionExclusion(1), grid)
-    rows += [["eq_lhs_benchmark", q, y] for q, y in zip(grid, lhs)]
-    rows += [["eq_rhs_benchmark", q, y] for q, y in zip(grid, rhs)]
-    rows += [["eq_lhs_exclusion", q, y] for q, y in zip(grid, lhs1)]
-    rows += [["eq_rhs_exclusion", q, y] for q, y in zip(grid, rhs1)]
-    exc = solve_exclusion(params)
-    ok = ok and exc.residual < RESIDUAL_CONTRACT
-    prof1 = steady_state_profile(params, exc.cutoff, RejectionExclusion(1))
-    h1 = winner_density(prof1, params, cfg.grid_size)
-    rows += [["root_benchmark", 0, bench.cutoff], ["root_exclusion", 1, exc.cutoff]]
-    rows += [["submissions_benchmark", q, prof0.pdf(q)] for q in dq]
-    rows += [["submissions_exclusion", q, prof1.pdf(q)] for q in dq]
-    rows += [["winners_benchmark", q, h0.density(q)] for q in dq]
-    rows += [["winners_exclusion", q, h1.density(q)] for q in dq]
+    lhs1, rhs1 = curves[1]
+    rows = series("eq_lhs_benchmark", grid, lhs) + \
+        series("eq_rhs_benchmark", grid, rhs) + \
+        series("eq_lhs_exclusion", grid, lhs1) + \
+        series("eq_rhs_exclusion", grid, rhs1)
+    rows += [["root_benchmark", 0, bench.cutoff],
+             ["root_exclusion", 1, exc.cutoff]]
+    rows += series("submissions_benchmark", dq, sub0)
+    rows += series("submissions_exclusion", dq, sub1)
+    rows += series("winners_benchmark", dq, win0)
+    rows += series("winners_exclusion", dq, win1)
     _write_csv(os.path.join(outdir, "figure2.csv"), ["series", "x", "y"], rows)
 
     # dataset 3: ban-length comparison (curve pairs and roots per t)
     rows = []
-    for t in (1, 5, 50):
-        lhs_t, rhs_t = equilibrium_curves(params, RejectionExclusion(t), grid)
-        rows += [[f"eq_lhs_t{t}", q, y] for q, y in zip(grid, lhs_t)]
-        rows += [[f"eq_rhs_t{t}", q, y] for q, y in zip(grid, rhs_t)]
-        out_t = exc if t == 1 else solve_multi_period(params, t)
-        ok = ok and out_t.residual < RESIDUAL_CONTRACT
-        rows += [["root", t, out_t.cutoff]]
+    for t, (lhs_t, rhs_t) in curves.items():
+        rows += series(f"eq_lhs_t{t}", grid, lhs_t)
+        rows += series(f"eq_rhs_t{t}", grid, rhs_t)
+        rows += [["root", t, outs[t].cutoff]]
     _write_csv(os.path.join(outdir, "figure3.csv"), ["series", "x", "y"], rows)
+    ok = all(o.residual < RESIDUAL_CONTRACT for o in (bench, *outs.values()))
     return 0 if ok else 1
 
 

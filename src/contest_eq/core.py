@@ -310,11 +310,10 @@ def ban_mass(cutoff, sbar_ban, base, noise):
 # Every formula that depends on the ban rule lives on the policy object: the
 # regime label and ban length, the regime's public solver, the per-period
 # mass of submitters banned by their review signal, steady-state
-# eligibility, the indifference level of the marginal win probability (in
-# closed form for the steady state, or given the lifetime payoff x of
-# eligibility), the ban weight in the payoff's denominator, and the
-# simulator's ban trigger.  Steady-state methods take F = F(cutoff) and the
-# ban mass as scalars or as arrays over a cutoff grid.
+# eligibility, the indifference level of the marginal win probability given
+# the lifetime payoff x of eligibility, the ban weight in the payoff's
+# denominator, and the simulator's ban trigger.  Every method takes scalars
+# or arrays over a cutoff grid.
 
 
 @dataclass(frozen=True)
@@ -348,28 +347,18 @@ class RejectionExclusion:
         t = self.periods
         return np.minimum((1.0 + t * budget) / (1.0 + t * (1.0 - F)), 1.0)
 
-    def steady_indifference(self, cutoff, F, ban, params):
-        v, c, k, d = (params.win_value, params.reject_cost, params.budget,
-                      params.discount)
-        t, geom = self.periods, self._geom(d)
-        num = (1.0 + t * k) * c + k * d * geom * (1.0 + t * (1.0 - F)) * v
-        den = (1.0 + t * k) * c + \
-            (1.0 + t * k) * (1.0 + d * geom * (1.0 - F)) * v
-        return num / den
-
     def indifference(self, cutoff, x, params):
         d = params.discount
         cost = params.reject_cost + d * (1.0 - d ** self.periods) * x
         return cost / (cost + params.win_value)
 
-    def payoff_ban(self, cutoff, reject, base, params):
-        return reject * self._geom(params.discount)
+    def payoff_ban(self, reject, ban, params):
+        """Rejections weighted by the discounted periods they bar."""
+        d = params.discount
+        return reject * ((1.0 - d ** self.periods) / (1.0 - d))
 
     def banned(self, submit, signal, rejected):
         return rejected
-
-    def _geom(self, d):
-        return (1.0 - d ** self.periods) / (1.0 - d)
 
 
 @dataclass(frozen=True)
@@ -404,22 +393,13 @@ class SignalExclusion:
     def eligibility(self, F, ban, budget):
         return 1.0 / (1.0 + ban)
 
-    def steady_indifference(self, cutoff, F, ban, params):
-        v, c, k, d = (params.win_value, params.reject_cost, params.budget,
-                      params.discount)
-        g = self._trigger(cutoff, params.noise)
-        num = c * (1.0 + d * ban) + d * g * (
-            k * (1.0 + ban) * v - (1.0 - F - k * (1.0 + ban)) * c)
-        den = (c + v) * (1.0 + d * ban)
-        return num / den
-
     def indifference(self, cutoff, x, params):
         c, v, d = params.reject_cost, params.win_value, params.discount
         g = self._trigger(cutoff, params.noise)
         return (c + d * (1.0 - d) * g * x) / (c + v)
 
-    def payoff_ban(self, cutoff, reject, base, params):
-        return ban_mass(cutoff, self.sbar, base, params.noise)
+    def payoff_ban(self, reject, ban, params):
+        return ban
 
     def banned(self, submit, signal, rejected):
         return submit & (signal < self.sbar)
@@ -445,6 +425,13 @@ class NoExclusion(SignalExclusion):
         return equilibria.solve_benchmark(params)
 
 
+def _payoff(win, reject, ban_weight, params):
+    """Lifetime payoff of eligibility that wins `win` and is rejected
+    `reject` per period, `ban_weight` being the policy's `payoff_ban`."""
+    v, c, d = params.win_value, params.reject_cost, params.discount
+    return (win * v - reject * c) / ((1.0 - d) * (1.0 + d * ban_weight))
+
+
 def lifetime_payoff(cutoff, evaluation, params, policy=RejectionExclusion(1),
                     base=None):
     """Discounted lifetime payoff of an eligible researcher who submits at
@@ -458,11 +445,11 @@ def lifetime_payoff(cutoff, evaluation, params, policy=RejectionExclusion(1),
         return 0.0
     if base is None:
         base = params.quality
+    F = base.cdf(cutoff)
     win = win_mass(cutoff, evaluation, base)
-    reject = (1.0 - base.cdf(cutoff)) - win
-    ban = policy.payoff_ban(cutoff, reject, base, params)
-    v, c, d = params.win_value, params.reject_cost, params.discount
-    return (win * v - reject * c) / ((1.0 - d) * (1.0 + d * ban))
+    reject = (1.0 - F) - win
+    ban = policy.ban(F, lambda s: ban_mass(cutoff, s, base, params.noise))
+    return _payoff(win, reject, policy.payoff_ban(reject, ban, params), params)
 
 
 def welfare(profile, params):

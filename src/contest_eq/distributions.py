@@ -36,8 +36,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 def _gl_rule(lows, hi, panels):
     """Composite 64-node Gauss-Legendre rule on [low, hi] for every entry of
-    `lows`: (nodes, weights) arrays with one row per lower limit and
-    `panels` equal panels per row."""
+    `lows` (and of `hi`, when it is an array too): (nodes, weights) arrays
+    with one row per lower limit and `panels` equal panels per row."""
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     n = lows.size
     edges = lows[:, None] + (hi - lows)[:, None] * \
@@ -47,6 +47,21 @@ def _gl_rule(lows, hi, panels):
     x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(n, -1)
     w = (half[:, :, None] * _GL_WEIGHTS).reshape(n, -1)
     return x, w
+
+
+def _bisect_root(residual, lo, hi, flo, tol):
+    """Bisect a sign change of `residual` on [lo, hi], whose value at `lo`
+    is `flo`, for ceil(log2((hi - lo) / tol)) steps and return the midpoint
+    of the last bracket.  The step count is the only stop, so the call
+    count is known in advance.  The package's one scalar bisection."""
+    for _ in range(math.ceil(math.log2(max(hi - lo, tol) / tol))):
+        mid = 0.5 * (lo + hi)
+        fmid = residual(mid)
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def integrate(f, lo, hi, support=None):
@@ -104,27 +119,17 @@ class ScalarDistribution:
     def quantile(self, p):
         """Inverse cdf; synthesized by bisection unless overridden."""
         _check_prob(p)
+        p = float(p)  # numpy-scalar arithmetic slows every bisection step
         lo, hi = self.support_hint
-        flo, fhi = self.cdf(lo), self.cdf(hi)
-        if not flo < p < fhi:
-            # support hint too tight for an extreme p; widen geometrically
-            span = hi - lo
-            while self.cdf(lo) >= p:
-                lo -= span
-            while self.cdf(hi) <= p:
-                hi += span
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            c = self.cdf(mid)
-            if abs(c - p) < 1e-13:
-                return mid
-            if c < p:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, abs(mid)):
-                break
-        return 0.5 * (lo + hi)
+        span = hi - lo
+        # widen a support hint too tight for an extreme p
+        while self.cdf(lo) >= p:
+            lo -= span
+        while self.cdf(hi) <= p:
+            hi += span
+        return _bisect_root(lambda q: self.cdf(q) - p, lo, hi,
+                            self.cdf(lo) - p,
+                            1e-14 * max(1.0, abs(lo), abs(hi)))
 
     def sample(self, rng, size):
         """Draw by inverse-cdf; overridden where a direct sampler exists."""

@@ -19,10 +19,10 @@ import numpy as np
 
 from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
-                   SuccessEvaluation, _clearing_thresholds, ban_mass,
-                   evaluate_success, lifetime_payoff, truncated_profile,
-                   welfare, win_mass)
-from .distributions import SCAN_PANELS, _gl_rule
+                   SuccessEvaluation, _clearing_thresholds, _payoff,
+                   ban_mass, evaluate_success, lifetime_payoff,
+                   truncated_profile, welfare, win_mass)
+from .distributions import SCAN_PANELS, _bisect_root, _gl_rule
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -86,30 +86,17 @@ def steady_state_profile(params, cutoff, policy):
     return truncated_profile(params.quality, cutoff, elig)
 
 
-def _bisect_root(residual, lo, hi, flo, tol=_ROOT_TOL):
-    """Bisect a bracketed sign change until the bracket is narrower than
-    `tol`: ceil(log2((hi - lo) / tol)) residual calls at most."""
-    for _ in range(math.ceil(math.log2(max(hi - lo, tol) / tol))):
-        mid = 0.5 * (lo + hi)
-        fmid = residual(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo = mid
-            flo = fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _batch_residuals(params, policy, grid):
     """Equilibrium residual on a cutoff grid in one vectorized pass; a single
     cutoff is a size-1 grid.
 
     Builds the Gauss-Legendre node matrix for every truncated integral at
     once and solves all clearing thresholds together, each to a bracket
-    below 1e-10 in the signal.  Returns (residual, rhs, interior, sbar,
-    eligibility) arrays, rhs being the policy's indifference level.
+    below 1e-10 in the signal.  The indifference level is the best-response
+    one at the steady-state payoff: every eligible researcher wins
+    k / eligibility per period and is rejected 1 - F - k / eligibility.
+    Returns (residual, rhs, interior, sbar, eligibility) arrays, rhs being
+    that indifference level.
     """
     f, noise = params.quality, params.noise
     k = params.budget
@@ -123,7 +110,11 @@ def _batch_residuals(params, policy, grid):
     F = np.asarray(f.cdf(grid), dtype=float)
     ban = policy.ban(F, lambda s: np.sum(fw * noise_cdf(s - x), axis=1))
     elig = policy.eligibility(F, ban, k)
-    rhs = policy.steady_indifference(grid, F, ban, params)
+    win = k / elig
+    reject = 1.0 - F - win
+    payoff = _payoff(win, reject, policy.payoff_ban(reject, ban, params),
+                     params)
+    rhs = policy.indifference(grid, payoff, params)
 
     vol = elig * (1.0 - F)
     interior = vol > k + 1e-12
@@ -160,8 +151,8 @@ def _scan_roots(params, policy):
     roots = []
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     for i in sign_change:
-        roots.append(float(_bisect_root(lambda q: values(q)[0],
-                                        grid[i], grid[i + 1], vals[i])))
+        roots.append(float(_bisect_root(lambda q: values(q)[0], grid[i],
+                                        grid[i + 1], vals[i], _ROOT_TOL)))
     return sorted(roots)
 
 
@@ -241,24 +232,6 @@ def solve_signal_cutoff(params, sbar_ban):
 # best responses
 
 
-def _unique_root_right(residual, start, hi_cap):
-    """Root of a best-response residual that is negative at `start` and
-    positive for large cutoffs; uniqueness holds by the one-shot-deviation
-    characterization, so the first bracket is the root."""
-    f0 = residual(start)
-    if f0 > -1e-13:
-        # a root at `start`, or the intertemporal cost term vanishes there
-        return start
-    grid = np.linspace(start, hi_cap, 400)
-    prev_q, prev_f = start, f0
-    for q in grid[1:]:
-        fq = residual(q)
-        if (fq > 0.0) != (prev_f > 0.0):
-            return _bisect_root(residual, prev_q, q, prev_f, tol=1e-12)
-        prev_q, prev_f = q, fq
-    raise NoRoot("best-response residual never crossed zero")
-
-
 def best_response(profile, params, policy):
     """Optimal stationary entry cutoff against a fixed recurrent profile.
 
@@ -279,9 +252,16 @@ def best_response(profile, params, policy):
         return float(ev.win_prob(cutoff)) - \
             policy.indifference(cutoff, x, params)
 
+    f0 = residual(start)
+    if f0 > -1e-13:
+        # a root at `start`, or the intertemporal cost term vanishes there
+        return start
     hi_cap = max(params.quality.support_hint[1],
                  ev.sbar + 12.0 * params.noise.stddev) + 1.0
-    return _unique_root_right(residual, start, hi_cap)
+    if not residual(hi_cap) > 0.0:
+        raise NoRoot("best-response residual never crossed zero")
+    # the root is unique by the one-shot-deviation characterization
+    return _bisect_root(residual, start, hi_cap, f0, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -110,20 +110,15 @@ def run_simulation(config, params):
     ban_left = np.zeros(n, dtype=np.int32)
     if config.initial_eligibility is not None and t_ban > 0:
         for i, idx in enumerate(type_idx):
-            share = config.initial_eligibility[i] if n_types > 1 \
-                else config.initial_eligibility[0]
-            frac = share / type_shares[i]
+            frac = config.initial_eligibility[i] / type_shares[i]
             n_banned = int(round((1.0 - min(frac, 1.0)) * idx.size))
             if n_banned > 0:
                 sel = idx[np.round(np.linspace(0, idx.size - 1,
                                                n_banned)).astype(int)]
                 ban_left[sel] = 1 + (np.arange(n_banned) % t_ban)
 
-    lo_hint = min(t.quality.support_hint[0] for t in params.types) \
-        if params.types else params.quality.support_hint[0]
-    hi_hint = max(t.quality.support_hint[1] for t in params.types) \
-        if params.types else params.quality.support_hint[1]
-    hist_edges = np.linspace(lo_hint, hi_hint, config.hist_bins + 1)
+    hist_edges = np.linspace(*params.quality.support_hint,
+                             config.hist_bins + 1)
     hist_counts = np.zeros(config.hist_bins, dtype=np.int64)
 
     elig_traj = np.zeros(config.n_periods)

@@ -125,9 +125,6 @@ def test_hazard_check_rejects_decreasing_hazard(model_v50, v50_densities):
     p = dataclasses.replace(model_v50, noise=heavy)
     with pytest.raises(HypothesisUnmet):
         compare_winners(h1, h0, p)
-    # and the check can be bypassed explicitly
-    report = compare_winners(h1, h0, model_v50, hazard_check=False)
-    assert report.verdict == "single_crossing"
 
 
 def test_winner_density_rejects_small_grid(model_v50):

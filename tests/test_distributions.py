@@ -126,5 +126,8 @@ def test_mixture_density_and_weights():
     assert abs(total - 1.0) < 1e-8
     for p in (0.2, 0.8):
         assert abs(mix.cdf(mix.quantile(p)) - p) < 1e-10
+    # the tails too: the bisection runs to its bracket, not to a cdf gap
+    for p in (1e-9, 1e-6, 1e-3):
+        assert abs(mix.cdf(mix.quantile(p)) - p) < 1e-12 * p
     with pytest.raises(ValueError):
         Mixture([(0.6, Normal(0, 1)), (0.6, Normal(1, 1))])

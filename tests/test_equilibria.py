@@ -10,7 +10,7 @@ from contest_eq import (ALWAYS_SUBMIT, NoConvergence, Normal,
                         solve_exclusion, solve_multi_period,
                         solve_signal_cutoff, solve_two_type,
                         steady_state_profile, truncated_profile, win_mass)
-from contest_eq import equilibria
+from contest_eq import distributions, equilibria
 
 from reference import (EXCLUSION_V400_ROOT, V30_Q0, V50_Q0, V50_Q1,
                        V50_ALPHA1, V50_SC_INF_ROOT, V20_BAN_ROOTS, TWO_TYPE_AH,
@@ -203,7 +203,7 @@ def test_root_bisection_stops_after_its_step_count():
         calls.append(q)
         return -1.0 if q < 1e6 + 0.3 else 1.0
 
-    root = equilibria._bisect_root(step, 1e6, 1e6 + 1.0, -1.0, tol=1e-12)
+    root = distributions._bisect_root(step, 1e6, 1e6 + 1.0, -1.0, tol=1e-12)
     assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12))
     assert abs(root - (1e6 + 0.3)) < 1e-9
 
@@ -376,6 +376,21 @@ def test_best_response_signal_policy_reduces_to_free_entry(model_v50):
     a = best_response(profile, p, SignalExclusion(-INF))
     b = best_response(profile, p, NoExclusion())
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("policy", [
+    NoExclusion(), RejectionExclusion(1), RejectionExclusion(5),
+    RejectionExclusion(50), SignalExclusion(0.0), SignalExclusion(INF)],
+    ids=["free_entry", "t1", "t5", "t50", "signal_0", "signal_inf"])
+def test_equilibrium_is_a_best_response_to_itself(policy, model_v30,
+                                                  model_v50, model_v20):
+    # the steady-state residual is the best-response residual at the
+    # steady-state payoff, so the equilibrium cutoff is the best response to
+    # the profile it regenerates
+    for p in (model_v30, model_v50, model_v20):
+        out = policy.solve(p)
+        profile = steady_state_profile(p, out.cutoff, policy)
+        assert abs(best_response(profile, p, policy) - out.cutoff) < 1e-9
 
 
 def test_best_response_optimality_by_payoff_scan(model_v50):
