@@ -8,14 +8,13 @@ benchmark, first-best references, and parameter sweeps.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
-                   evaluate_success, truncated_profile)
-from .distributions import NonFiniteIntegrand, _bisect_root, _gl_rule
+                   _upper_mass, evaluate_success, truncated_profile)
+from .distributions import NonFiniteIntegrand, _bisect_root
 from .equilibria import NoConvergence, NoRoot, solve_benchmark
 
 # what a sweep records inline; anything else is a programming error
@@ -35,16 +34,15 @@ class WinnerDensity:
     """Quality density of funded ideas h(q) = phi(q) W(q) on a grid.
 
     `density` evaluates h between grid points, which lets the crossing
-    search refine by bisection instead of interpolating; `kinks` lists the
-    entry cutoffs where h jumps, so cumulative comparisons can split panels
-    there.
+    search refine by bisection instead of interpolating; `cumulative(q)` is
+    the funded mass of qualities below q, in closed form.
     """
 
     grid: np.ndarray
     values: np.ndarray
     total_mass: float
     density: object
-    kinks: tuple
+    cumulative: object
 
     def __call__(self, q):
         return self.density(q)
@@ -80,11 +78,20 @@ def winner_density(profile, params, grid_size=1000):
         q = np.asarray(q, dtype=float)
         return profile.pdf(q) * ev.win_prob(q)
 
-    mass = profile.integral(lambda q: np.asarray(ev.win_prob(q), dtype=float))
-    kinks = tuple(c.cutoff for c in profile.components
-                  if math.isfinite(c.cutoff))
+    # per component: mass times the winners above its cutoff, less those
+    # above max(cutoff, q)
+    above = lambda c, q: _upper_mass(c.base, q, params.noise, ev.sbar)
+    tops = [(c, c.weight * c.eligibility * above(c, c.cutoff))
+            for c in profile.components]
+
+    def cumulative(q):
+        q = np.asarray(q, dtype=float)
+        return sum(top - c.weight * c.eligibility
+                   * above(c, np.maximum(c.cutoff, q)) for c, top in tops)
+
     return WinnerDensity(grid=grid, values=density(grid),
-                         total_mass=float(mass), density=density, kinks=kinks)
+                         total_mass=float(sum(top for _, top in tops)),
+                         density=density, cumulative=cumulative)
 
 
 def first_best(params, grid_size=1000):
@@ -127,7 +134,7 @@ def compare_winners(h, h0, params):
 
     grid = h.grid
     diff = h.values - h0.values
-    cdf_diff = _cumulative_difference(h, h0, grid)
+    cdf_diff = h.cumulative(grid) - h0.cumulative(grid)
 
     h_dominates = bool(np.all(cdf_diff <= _SLACK))
     h0_dominates = bool(np.all(cdf_diff >= -_SLACK))
@@ -142,24 +149,6 @@ def compare_winners(h, h0, params):
     if qbar is not None:
         return DominanceReport("single_crossing", qbar, grid, cdf_diff)
     return DominanceReport("incomparable", None, grid, cdf_diff)
-
-
-def _cumulative_difference(h, h0, grid):
-    """cdf_h - cdf_h0 at every grid point, by per-interval Gauss-Legendre
-    quadrature with panels split at the density kinks (entry cutoffs), so the
-    cumulative comparison is accurate to quadrature precision rather than to
-    the grid resolution."""
-    kinks = sorted(set(h.kinks) | set(h0.kinks))
-    edges = np.asarray(grid, dtype=float)
-    extra = [k for k in kinks if edges[0] < k < edges[-1]]
-    all_edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
-    x, w = _gl_rule(all_edges[:-1], all_edges[1:], 1)
-    vals = (np.asarray(h(x.ravel()), dtype=float)
-            - np.asarray(h0(x.ravel()), dtype=float)).reshape(x.shape)
-    panel = np.sum(vals * w, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    pos = np.searchsorted(all_edges, edges)
-    return cum[pos]
 
 
 def _single_crossing_point(h, h0, grid, diff):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri, owens_t
 
 from .distributions import (INTEGRATE_PANELS, TRUNCATION_SIGMAS, Mixture,
                             Normal, ScalarDistribution, _check_finite,
@@ -31,8 +31,8 @@ _BUDGET_EPS = 1e-12
 
 
 class BracketFailure(RuntimeError):
-    """The submitted mass does not exceed the budget on the quadrature
-    nodes, so no threshold clears it: malformed profile."""
+    """The submitted mass does not exceed the budget, so no threshold
+    clears it: malformed profile."""
 
 
 @dataclass(frozen=True)
@@ -166,25 +166,15 @@ class SubmissionProfile:
             for c in self.components))
 
     def integral(self, g):
-        """integral phi(q) g(q) dq on the nodes of `_nodes`."""
-        x, mass = self._nodes()
-        return float(np.dot(mass[0], _check_finite(g(x[0]))))
-
-    def _nodes(self):
-        """(qualities, masses): the quadrature nodes of every component,
-        split at its cutoff, and the submitted mass each carries, as one row
-        each."""
-        xs, masses = [np.empty(0)], [np.empty(0)]
+        """integral phi(q) g(q) dq, component by component with `integrate`
+        on each truncated support."""
+        total = 0.0
         for c in self.components:
             lo, hi = c.base.support_hint
-            lo = max(lo, c.cutoff)
-            if lo >= hi:
-                continue
-            x, w = _gl_rule(lo, hi, INTEGRATE_PANELS)
-            xs.append(x[0])
-            masses.append(c.weight * c.eligibility *
-                          np.asarray(c.base.pdf(x[0]), dtype=float) * w[0])
-        return np.concatenate(xs)[None, :], np.concatenate(masses)[None, :]
+            total += c.weight * c.eligibility * integrate(
+                lambda q: c.base.pdf(q) * np.asarray(g(q), dtype=float),
+                max(lo, c.cutoff), hi)
+        return total
 
 
 def truncated_profile(base, cutoff, eligibility=1.0, weight=1.0):
@@ -216,60 +206,180 @@ class SuccessEvaluation:
         return out if out.ndim else float(out)
 
 
-def _clearing_thresholds(x, mass, params, lo, hi, tol):
-    """Market-clearing signal threshold of every row of quality nodes `x`
-    carrying submitted mass `mass`: the signal at which the mass whose
-    signal clears it equals the budget.
+def _normal_orthant(h, k, rho, r):
+    """P(X >= h, Y >= k) for standard normals X, Y of correlation rho in
+    (0, 1), r = sqrt(1 - rho^2), by Owen's T on the lower orthant at
+    (-h, -k) (Owen 1956).  Vectorized; h and k may be +-inf.  Accurate to
+    about 2e-16 absolute, not relative in the far tails."""
+    # + 0.0 clears signed zeros: at x = -0.0 the T argument below becomes
+    # -inf for y > 0, and T(0, -inf) = -1/4 carries the wrong sign.  The
+    # arguments divide before they subtract, which keeps them exact for
+    # subnormal limits.
+    x, y = np.negative(h) + 0.0, np.negative(k) + 0.0
+    with np.errstate(all="ignore"):
+        lower = (0.5 * (ndtr(x) + ndtr(y))
+                 - owens_t(x, (y / x - rho) / r)
+                 - owens_t(y, (x / y - rho) / r)
+                 - 0.5 * ((x < 0.0) != (y < 0.0)))
+    # the formula is 0/0 at the origin, and an infinite limit leaves an
+    # exact one-dimensional probability
+    origin = (x == 0.0) & (y == 0.0)
+    edge = origin | ~np.isfinite(x) | ~np.isfinite(y)
+    if np.any(edge):
+        lower = np.where(edge, np.where(
+            origin, 0.25 + math.atan2(rho, r) / (2.0 * math.pi),
+            ndtr(x) * ndtr(y)), lower)
+    return lower
 
-    Bisects every row at once on the bracket [lo + mean - 10 sd,
-    hi + mean + 10 sd] of the noise-standardized signal, for
-    ceil(log2(span / tol)) steps, so each bracket ends narrower than `tol`.
+
+def _standardize(base, noise, cutoff, b):
+    """(h, z, rho, r, sd_s): the cutoff standardized by the quality, the
+    signal standardized by its own law, the quality-signal correlation, its
+    complement sqrt(1 - rho^2) and the signal sd."""
+    sd_s = math.sqrt(base.variance + noise.variance)
+    h = (np.asarray(cutoff, dtype=float) - base.mean) / base.stddev
+    z = (np.asarray(b, dtype=float) - base.mean - noise.mean) / sd_s
+    return h, z, base.stddev / sd_s, noise.stddev / sd_s, sd_s
+
+
+def _upper_mass(base, cutoff, noise, b):
+    """P(q >= cutoff, q + e >= b) for q ~ base and e ~ noise, vectorized
+    over `cutoff` and `b` (either may be +-inf).
+
+    Normal quality and noise make it a bivariate-normal orthant, computed
+    in closed form; a mixture base sums its weighted parts.  Any other pair
+    integrates on the composite Gauss-Legendre nodes of the base's
+    truncated support above the cutoff.
+    """
+    if isinstance(base, Mixture):
+        return sum(w * _upper_mass(d, cutoff, noise, b) for w, d in base.parts)
+    if isinstance(base, Normal) and isinstance(noise, Normal):
+        h, z, rho, r, _ = _standardize(base, noise, cutoff, b)
+        return _normal_orthant(h, z, rho, r)
+    lo, hi = base.support_hint
+    cutoff, b = np.broadcast_arrays(np.asarray(cutoff, dtype=float),
+                                    np.asarray(b, dtype=float))
+    x, w = _gl_rule(np.clip(cutoff, lo, hi).ravel(), hi, INTEGRATE_PANELS)
+    survival = 1.0 - np.asarray(noise.cdf(b.reshape(-1, 1) - x), dtype=float)
+    mass = _check_finite(base.pdf(x)) * w
+    return np.einsum("ij,ij->i", mass, survival).reshape(cutoff.shape)
+
+
+def _signal_density(base, cutoff, noise, b):
+    """-d/db of `_upper_mass`: the density of the signal at b jointly with
+    q >= cutoff.  nan for a pair without the closed form, whose clearing
+    solves then step by midpoints alone."""
+    if isinstance(base, Mixture):
+        return sum(w * _signal_density(d, cutoff, noise, b)
+                   for w, d in base.parts)
+    if isinstance(base, Normal) and isinstance(noise, Normal):
+        h, z, rho, r, sd_s = _standardize(base, noise, cutoff, b)
+        return np.exp(-0.5 * z * z) / (sd_s * math.sqrt(2.0 * math.pi)) \
+            * ndtr((rho * z - h) / r)
+    return math.nan
+
+
+def _clearing_thresholds(parts, params, lo, hi, tol):
+    """Market-clearing signal threshold of every row of a batch of
+    submission profiles: the signal at which the mass whose signal clears
+    it equals the budget.
+
+    `parts` lists the components as (base, cutoffs, masses) with one array
+    entry per row, a mass being weight x eligibility.  Every row starts on
+    the bracket [lo + mean - 10 sd, hi + mean + 10 sd] ([lo, hi] the quality
+    support, mean and sd the noise's).  Each step evaluates the clearing
+    mass at two points per row in one pass: the bracket midpoint, so every
+    step at least halves the bracket and no row takes more steps than
+    bisection's ceil(log2(width / tol)); and a Newton point from the
+    bracket end with the smaller clearing gap, pushed tol/4 further so that
+    it can close the bracket (the midpoint of that end's half when the
+    Newton point leaves the bracket).  Newton runs on the probit of the
+    cleared share of the submitted mass, whose slope comes from the
+    submitted-signal density; the probit is linear in the threshold for
+    one untruncated normal component, so a few steps end most rows.  A row
+    stops once its bracket is narrower than `tol` (or holds no float
+    between its ends) or its gap is exactly zero, and returns the midpoint.
     Stopping on the bracket rather than on the clearing mass keeps the
     threshold exact when eligibility, and with it the clearing slope, is
-    small.  Raises BracketFailure when a row's node mass does not exceed
-    the budget.
+    small.  Raises BracketFailure when a row's submitted mass does not
+    exceed the budget.
     """
     noise, k = params.noise, params.budget
-    if np.any(np.sum(mass, axis=1) <= k):
-        raise BracketFailure("submitted mass does not exceed the budget")
-    sd = noise.stddev
-    b_lo = (lo + noise.mean - TRUNCATION_SIGMAS * sd) / sd
-    b_hi = (hi + noise.mean + TRUNCATION_SIGMAS * sd) / sd
-    steps = max(math.ceil(math.log2((b_hi - b_lo) * sd / tol)), 1)
-    if isinstance(noise, Normal):
-        xn = (x + noise.mean) / sd  # noise cdf(s - q) = ndtr(s/sd - xn)
-        buf = np.empty_like(xn)
+    s_lo = lo + noise.mean - TRUNCATION_SIGMAS * noise.stddev
+    s_hi = hi + noise.mean + TRUNCATION_SIGMAS * noise.stddev
+    steps = max(math.ceil(math.log2((s_hi - s_lo) / tol)), 1)
 
-        def survival(b):
-            # in place: fresh node-matrix temporaries every step cost a
-            # tenth of a 2000-point scan
-            ndtr(np.subtract(b[:, None], xn, out=buf), out=buf)
-            return np.subtract(1.0, buf, out=buf)
-    else:
-        survival = lambda b: 1.0 - np.asarray(noise.cdf(b[:, None] * sd - x),
-                                              dtype=float)
-    lo_b, hi_b = np.full(len(x), b_lo), np.full(len(x), b_hi)
+    def gap(s, rows):
+        """Funded mass less the budget, and its slope, at thresholds s."""
+        mass, slope = -k, 0.0
+        for base, cutoffs, masses in parts:
+            c, m = cutoffs[rows], masses[rows]
+            mass = mass + m * _upper_mass(base, c, noise, s)
+            slope = slope - m * _signal_density(base, c, noise, s)
+        return mass, slope
+
+    rows = np.arange(len(parts[0][1]))
+    out = np.empty(rows.size)
+    volume = sum(m * _upper_mass(base, c, noise, -math.inf)
+                 for base, c, m in parts)
+    if np.any(volume <= k):
+        raise BracketFailure("submitted mass does not exceed the budget")
+    share = ndtri(k / volume)
+    # each bracket end as (threshold, gap, slope); the ends' gaps hold to
+    # within the ~1e-23 mass beyond 10 sd, and a zero slope keeps Newton
+    # off them
+    zero = np.zeros(rows.size)
+    lo_end = np.array([zero + s_lo, volume - k, zero])
+    hi_end = np.array([zero + s_hi, zero - k, zero])
     for _ in range(steps):
-        mid = 0.5 * (lo_b + hi_b)
-        right = np.einsum("ij,ij->i", mass, survival(mid)) - k > 0.0
-        lo_b = np.where(right, mid, lo_b)
-        hi_b = np.where(right, hi_b, mid)
-    return 0.5 * (lo_b + hi_b) * sd
+        a, b = lo_end[0], hi_end[0]
+        mid = 0.5 * (a + b)
+        done = ~((b - a > tol) & (a < mid) & (mid < b))
+        if np.any(done):
+            out[rows[done]] = mid[done]
+            keep = ~done
+            rows, mid, volume, share = (v[keep]
+                                        for v in (rows, mid, volume, share))
+            lo_end, hi_end = lo_end[:, keep], hi_end[:, keep]
+        if rows.size == 0:
+            break
+        from_hi = np.abs(hi_end[1]) < np.abs(lo_end[1])
+        x, fx, dx = np.where(from_hi, hi_end, lo_end)
+        with np.errstate(all="ignore"):
+            z = ndtri((fx + k) / volume)
+            newton = x - (z - share) * volume * np.exp(-0.5 * z * z) \
+                / (math.sqrt(2.0 * math.pi) * dx) \
+                + np.where(from_hi, -0.25 * tol, 0.25 * tol)
+        inside = (lo_end[0] < newton) & (newton < hi_end[0])
+        s = np.concatenate([mid, np.where(inside, newton, 0.5 * (mid + x))])
+        points = np.array([s, *gap(s, np.concatenate([rows, rows]))])
+        for point in (points[:, :rows.size], points[:, rows.size:]):
+            # an exact zero clears the budget to the last bit: it closes
+            # the row
+            lo_end = np.where((point[1] >= 0.0) & (point[0] > lo_end[0]),
+                              point, lo_end)
+            hi_end = np.where((point[1] <= 0.0) & (point[0] < hi_end[0]),
+                              point, hi_end)
+    else:
+        out[rows] = 0.5 * (lo_end[0] + hi_end[0])
+    return out
 
 
 def signal_cutoff(profile, params):
     """Market-clearing funding threshold for a submission profile.
 
     Returns -inf when the volume of submissions does not exceed the budget
-    (everything is funded).  Otherwise bisects the clearing integral on the
-    profile's quadrature nodes until the bracket is narrower than 1e-14,
-    smooth enough for the two-type solver's finite-difference Jacobian.
+    (everything is funded).  Otherwise solves the clearing mass of all the
+    profile's components until the bracket is narrower than 1e-14, smooth
+    enough for the two-type solver's finite-difference Jacobian.
     """
     if profile.volume() <= params.budget + _BUDGET_EPS:
         return -math.inf
     lo, hi = profile.support()
-    x, mass = profile._nodes()
-    return float(_clearing_thresholds(x, mass, params, lo, hi, 1e-14)[0])
+    parts = [(c.base, np.array([c.cutoff]),
+              np.array([c.weight * c.eligibility]))
+             for c in profile.components]
+    return float(_clearing_thresholds(parts, params, lo, hi, 1e-14)[0])
 
 
 def evaluate_success(profile, params):
@@ -281,27 +391,21 @@ def evaluate_success(profile, params):
 def win_mass(cutoff, evaluation, base):
     """Ex-ante per-period winning probability of a cutoff-`cutoff` researcher
     whose quality is drawn from `base`."""
-    if cutoff == NEVER_SUBMIT:
-        return 0.0
-    if evaluation.sbar == -math.inf:
-        return 1.0 - base.cdf(cutoff)
-    lo, hi = base.support_hint
-    lo = max(lo, cutoff)
-    return integrate(lambda q: base.pdf(q) * evaluation.win_prob(q), lo, hi)
+    return float(_upper_mass(base, cutoff, evaluation.noise, evaluation.sbar))
 
 
 def ban_mass(cutoff, sbar_ban, base, noise):
     """Ex-ante per-period probability that an eligible researcher triggers
-    exclusion: submits (q >= cutoff) and draws a signal below sbar_ban."""
-    if sbar_ban == -math.inf or cutoff == NEVER_SUBMIT:
+    exclusion: submits (q >= cutoff) and draws a signal below sbar_ban.
+    Vectorized over `cutoff`."""
+    if sbar_ban == -math.inf:
         return 0.0
     if sbar_ban == math.inf:
         return 1.0 - base.cdf(cutoff)
-    lo, hi = base.support_hint
-    lo = max(lo, cutoff)
-    return integrate(
-        lambda q: base.pdf(q) * np.asarray(noise.cdf(sbar_ban - q), dtype=float),
-        lo, hi)
+    # the two masses agree to rounding when almost no signal falls below
+    out = np.maximum((1.0 - np.asarray(base.cdf(cutoff), dtype=float))
+                     - _upper_mass(base, cutoff, noise, sbar_ban), 0.0)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

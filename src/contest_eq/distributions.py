@@ -1,12 +1,14 @@
 """Scalar distributions and the numerical integration kernel.
 
 Quality and review-noise inputs are continuous distributions with strictly
-positive densities.  Every integral in the package uses one composite
-Gauss-Legendre rule (`_gl_rule`, behind `integrate`), so tolerance and
-determinism live here.  Infinite limits are truncated at mean +-
-TRUNCATION_SIGMAS standard deviations of the governing distribution; for
-normal tails the mass beyond 10 sigma is ~1e-23, far below every tolerance
-used downstream.
+positive densities.  With normal quality and noise every mass the package
+needs is a bivariate-normal orthant probability in closed form
+(`core._upper_mass`); normal mixtures sum their parts.  The remaining
+integrals (custom distributions, `integrate` itself) use one composite
+Gauss-Legendre rule (`_gl_rule`), whose infinite limits are truncated at
+mean +- TRUNCATION_SIGMAS standard deviations of the governing
+distribution; for normal tails the mass beyond 10 sigma is ~1e-23, far
+below every tolerance used downstream.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ class NonFiniteIntegrand(ValueError):
 
 
 # Infinite limits are truncated this many standard deviations out; composite
-# Gauss-Legendre panels per integral for `integrate` and for the residual scan.
+# Gauss-Legendre panels per integral.
 TRUNCATION_SIGMAS = 10.0
 INTEGRATE_PANELS = 8
-SCAN_PANELS = 4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 

@@ -22,7 +22,7 @@ from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    SuccessEvaluation, _clearing_thresholds, _payoff,
                    ban_mass, evaluate_success, lifetime_payoff,
                    truncated_profile, welfare, win_mass)
-from .distributions import SCAN_PANELS, _bisect_root, _gl_rule
+from .distributions import _bisect_root
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -90,25 +90,19 @@ def _batch_residuals(params, policy, grid):
     """Equilibrium residual on a cutoff grid in one vectorized pass; a single
     cutoff is a size-1 grid.
 
-    Builds the Gauss-Legendre node matrix for every truncated integral at
-    once and solves all clearing thresholds together, each to a bracket
-    below 1e-10 in the signal.  The indifference level is the best-response
-    one at the steady-state payoff: every eligible researcher wins
-    k / eligibility per period and is rejected 1 - F - k / eligibility.
-    Returns (residual, rhs, interior, sbar, eligibility) arrays, rhs being
-    that indifference level.
+    Every mass is closed form, and all clearing thresholds are solved
+    together, each to a bracket below 1e-10 in the signal.  The
+    indifference level is the best-response one at the steady-state
+    payoff: every eligible researcher wins k / eligibility per period and
+    is rejected 1 - F - k / eligibility.  Returns (residual, rhs, interior,
+    sbar, eligibility) arrays, rhs being that indifference level.
     """
     f, noise = params.quality, params.noise
     k = params.budget
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    lo_s, hi_s = f.support_hint
 
-    x, w = _gl_rule(np.maximum(grid, lo_s), hi_s, SCAN_PANELS)
-    fw = np.asarray(f.pdf(x.ravel()), dtype=float).reshape(x.shape) * w
-
-    noise_cdf = lambda v: np.asarray(noise.cdf(v), dtype=float)
     F = np.asarray(f.cdf(grid), dtype=float)
-    ban = policy.ban(F, lambda s: np.sum(fw * noise_cdf(s - x), axis=1))
+    ban = policy.ban(F, lambda s: ban_mass(grid, s, f, noise))
     elig = policy.eligibility(F, ban, k)
     win = k / elig
     reject = 1.0 - F - win
@@ -122,10 +116,12 @@ def _batch_residuals(params, policy, grid):
     # under-subscribed points fund everyone: W = 1
     rows = np.nonzero(interior)[0]
     sbar = np.full(grid.size, -math.inf)
-    sbar[rows] = _clearing_thresholds(x[rows], elig[rows, None] * fw[rows],
-                                      params, lo_s, hi_s, 1e-10)
+    sbar[rows] = _clearing_thresholds([(f, grid[rows], elig[rows])], params,
+                                      *f.support_hint, 1e-10)
     with np.errstate(invalid="ignore"):
-        w_at = np.where(interior, 1.0 - noise_cdf(sbar - grid), 1.0)
+        w_at = np.where(interior,
+                        1.0 - np.asarray(noise.cdf(sbar - grid), dtype=float),
+                        1.0)
     return w_at - rhs, rhs, interior, sbar, elig
 
 

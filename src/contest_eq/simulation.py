@@ -224,6 +224,10 @@ def empirical_best_response(config, params, candidate_grid, result=None,
     dist = params.quality
     payoff = np.zeros((replications, n_cand))
     ban = np.zeros((replications, n_cand), dtype=np.int32)
+    # the per-step masks reuse three buffers: fresh replications x
+    # candidates temporaries would map new pages on every step
+    submit, win, lose = (np.empty((replications, n_cand), dtype=bool)
+                         for _ in range(3))
     disc = 1.0
     for step in range(horizon):
         rng = _period_rng(config.seed ^ 0x9E3779B97F4A7C15, step)
@@ -231,14 +235,18 @@ def empirical_best_response(config, params, candidate_grid, result=None,
         s = q + params.noise.mean \
             + params.noise.stddev * rng.standard_normal(replications)[:, None]
         sbar = thresholds[step % n_thresh]
-        eligible = ban == 0
-        submit = eligible & (q >= grid[None, :])
-        win = submit & (s >= sbar)
-        lose = submit & ~win
-        payoff += disc * (win * params.win_value - lose * params.reject_cost)
-        ban = np.maximum(ban - 1, 0)
+        np.equal(ban, 0, out=win)  # eligible
+        np.greater_equal(q, grid[None, :], out=submit)
+        np.logical_and(submit, win, out=submit)
+        np.logical_and(submit, s >= sbar, out=win)
+        np.logical_xor(submit, win, out=lose)
+        np.add(payoff, disc * params.win_value, out=payoff, where=win)
+        np.subtract(payoff, disc * params.reject_cost, out=payoff, where=lose)
+        np.greater(ban, 0, out=win)  # serving periods; win is spent
+        np.subtract(ban, 1, out=ban, where=win)
         if t_ban > 0:
-            ban[config.policy.banned(submit, s, lose)] = t_ban
+            np.copyto(ban, t_ban,
+                      where=config.policy.banned(submit, s, lose))
         disc *= params.discount
 
     mean_payoff = payoff.mean(axis=0)

@@ -44,6 +44,25 @@ def quality_grid(mu_q, sd_q, cutoff=-np.inf, n=TRAPZ_N, sigmas=12.0):
     return np.linspace(lo, hi, n)
 
 
+def upper_mass(cutoff, b, mu_q, sd_q, mu_e, sd_e, n=100_001):
+    """P(q >= cutoff, q + e >= b) for normal q and e: the integral of
+    f(q) (1 - G(b - q)) over q >= cutoff, by composite Simpson on pieces
+    split where the noise cdf turns (b - mu_e +- 12 sd_e), n points each.
+    Quality mass beyond 12 sd_q is dropped (~1e-33)."""
+    lo, hi = max(cutoff, mu_q - 12 * sd_q), mu_q + 12 * sd_q
+    if lo >= hi:
+        return 0.0
+    turn = b - mu_e
+    edges = [lo] + [x for x in (turn - 12 * sd_e, turn + 12 * sd_e)
+                    if lo < x < hi] + [hi]
+    total = 0.0
+    for a, c in zip(edges[:-1], edges[1:]):
+        qs = np.linspace(a, c, n)
+        total += simpson(norm_pdf(qs, mu_q, sd_q)
+                         * (1.0 - norm_cdf(b - qs, mu_e, sd_e)), x=qs)
+    return float(total)
+
+
 def clearing_sbar(mu_q, var_q, var_s, k, cutoff=-np.inf, elig=1.0,
                   n=SIMPSON_N):
     """Funding signal threshold for elig * f^cutoff under normal noise.

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contest_eq import (ALWAYS_SUBMIT, NEVER_SUBMIT, Normal,
+from contest_eq import (ALWAYS_SUBMIT, NEVER_SUBMIT, Mixture, Normal,
                         ProfileComponent, RejectionExclusion, SignalExclusion,
                         SubmissionProfile,
                         ban_mass, evaluate_success, lifetime_payoff,
                         normal_model, signal_cutoff,
                         steady_state_profile, truncated_profile, welfare,
                         win_mass, TypeMix)
+from contest_eq.core import _upper_mass
 
 import oracles
 from reference import V30_SBAR_FULL, V50_SBAR_EQ
@@ -64,6 +66,54 @@ def test_two_component_clearing_matches_brute_force():
         [(0.4 * 0.7, 0.1, 0.5, math.sqrt(1.2)),
          (0.6 * 0.9, -0.5, -0.3, math.sqrt(0.8))], 0.1, 2.0)
     assert abs(signal_cutoff(profile, p) - expected) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the closed-form orthant P(q >= cutoff, q + e >= b)
+
+# standardized limits: signed zeros, the origin, +-inf and |x| up to 40;
+# correlations sd_q / sd_s over the valid box's var_s / var_q in [1e-4, 1e2]
+limits = st.one_of(st.sampled_from([0.0, -0.0, INF, -INF]),
+                   st.floats(-40.0, 40.0))
+correlations = st.floats(0.0995, 0.99995)
+means = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+def _laws(mu, sd_q, rho, noise_mean):
+    """Normal quality and noise whose quality-signal correlation is rho."""
+    sd_e = sd_q * math.sqrt((1.0 - rho) * (1.0 + rho)) / rho
+    return Normal(mu, sd_q ** 2), Normal(noise_mean, sd_e ** 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(limits, limits, correlations, means, st.floats(0.3, 3.0), means)
+def test_upper_mass_matches_dense_oracle(h, k, rho, mu, sd_q, noise_mean):
+    base, noise = _laws(mu, sd_q, rho, noise_mean)
+    sd_s = sd_q / rho
+    # a zero mean adds nothing, which keeps the sign of a zero limit
+    cutoff = mu + h * sd_q if mu else h * sd_q
+    b = mu + noise_mean + k * sd_s if mu or noise_mean else k * sd_s
+    got = float(_upper_mass(base, cutoff, noise, b))
+    want = oracles.upper_mass(cutoff, b, mu, sd_q, noise_mean, noise.stddev)
+    assert abs(got - want) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(-1.0, 1.0), st.floats(0.3, 3.0),
+       correlations, st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+       st.floats(-6.0, 6.0))
+def test_upper_mass_sums_mixture_parts(w, gap, var_q, rho, cutoffs, b):
+    first, noise = _laws(0.0, math.sqrt(var_q), rho, 0.0)
+    second = Normal(gap, 0.5 * var_q)
+    mix = Mixture([(w, first), (1.0 - w, second)])
+    got = _upper_mass(mix, np.array(cutoffs), noise, b)
+    want = [w * oracles.upper_mass(c, b, 0.0, first.stddev, 0.0,
+                                   noise.stddev)
+            + (1.0 - w) * oracles.upper_mass(c, b, gap, second.stddev, 0.0,
+                                             noise.stddev)
+            for c in cutoffs]
+    assert got.shape == (3,)
+    assert np.all(np.abs(got - want) < 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from contest_eq import (ALWAYS_SUBMIT, NoConvergence, Normal,
                         steady_state_profile, truncated_profile, win_mass)
 from contest_eq import distributions, equilibria
 
+import oracles
 from reference import (EXCLUSION_V400_ROOT, V30_Q0, V50_Q0, V50_Q1,
                        V50_ALPHA1, V50_SC_INF_ROOT, V20_BAN_ROOTS, TWO_TYPE_AH,
                        TWO_TYPE_AL, TWO_TYPE_QH, TWO_TYPE_QL)
@@ -46,6 +47,21 @@ def test_noise_mean_moves_the_threshold_not_the_cutoff(model_v50,
     assert abs(out.sbar - v50_benchmark.sbar - 50.0) < 1e-8
     profile = truncated_profile(p.quality, out.cutoff)
     assert abs(evaluate_success(profile, p).sbar - out.sbar) < 1e-8
+
+
+def test_benchmark_root_with_narrow_noise_meets_dense_oracle():
+    # a box draw whose noise sd is 0.0125 quality sd: the clearing
+    # integrand turns over a sliver of the quality range
+    mu, var_q, var_s = -0.26474165059032695, 0.7620727561122185, \
+        0.00011984934800739934
+    p = normal_model(mu, var_q, var_s, reject_cost=0.8936363977979189,
+                     win_value=381.2861666793989, budget=0.9429420351455405,
+                     discount=0.850386653653679)
+    out = solve_benchmark(p)
+    sbar = oracles.clearing_sbar(mu, var_q, var_s, p.budget,
+                                 cutoff=out.cutoff)
+    win = 1.0 - oracles.norm_cdf(sbar - out.cutoff, 0.0, math.sqrt(var_s))
+    assert abs(win - p.loss_share) < 1e-8
 
 
 def test_benchmark_huge_prize_pushes_cutoff_down(model_v30):

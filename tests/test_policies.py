@@ -4,14 +4,16 @@ box: V/C over six decades, k and delta in (0, 1), var_s/var_q from 1e-4 to
 each example evaluates the residual on one grid or one clearing solve."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from contest_eq import (NoExclusion, RejectionExclusion,
-                        SignalExclusion, evaluate_success, lifetime_payoff,
-                        normal_model, steady_state_eligibility,
-                        truncated_profile)
+                        SignalExclusion, ban_mass, evaluate_success,
+                        lifetime_payoff, normal_model,
+                        steady_state_eligibility, truncated_profile)
+from contest_eq import core
 from contest_eq.equilibria import _batch_residuals
 
 INF = math.inf
@@ -79,3 +81,25 @@ def test_payoff_default_base_is_the_population(params, policy, p):
     assert math.isfinite(x)
     assert lifetime_payoff(cutoff, ev, params, policy,
                            base=params.quality) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), policies, st.sampled_from([1e-10, 1e-14]))
+def test_clearing_takes_no_more_steps_than_bisection(params, policy, tol):
+    f, noise, k = params.quality, params.noise, params.budget
+    grid = _cutoff_grid(params, 200)
+    F = f.cdf(grid)
+    elig = policy.eligibility(
+        F, policy.ban(F, lambda s: ban_mass(grid, s, f, noise)), k)
+    rows = elig * (1.0 - F) > k + 1e-12
+    lo, hi = f.support_hint
+    bisection = math.ceil(math.log2((hi - lo + 20.0 * noise.stddev) / tol))
+    with mock.patch.object(core, "_upper_mass",
+                           wraps=core._upper_mass) as mass:
+        sbar = core._clearing_thresholds([(f, grid[rows], elig[rows])],
+                                         params, lo, hi, tol)
+    # one evaluation of the submitted mass, then one per step (two points
+    # per row)
+    assert mass.call_count - 1 <= bisection
+    funded = elig[rows] * core._upper_mass(f, grid[rows], noise, sbar)
+    assert np.all(np.abs(funded - k) < 1e-9)
