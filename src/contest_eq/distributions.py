@@ -50,14 +50,37 @@ def _gl_rule(lows, hi, panels):
     return x, w
 
 
-def _bisect_root(residual, lo, hi, flo, tol):
+def _bisect_root(residual, lo, hi, flo, tol, levels=1):
     """Bisect a sign change of `residual` on [lo, hi], whose value at `lo`
     is `flo`, for ceil(log2((hi - lo) / tol)) steps and return the midpoint
     of the last bracket.  The step count is the only stop, so the call
-    count is known in advance.  The package's one scalar bisection."""
-    for _ in range(math.ceil(math.log2(max(hi - lo, tol) / tol))):
+    count is known in advance.  The package's one bisection.
+
+    With `levels` = 1 `residual` takes one float per call.  With more it
+    takes an array, and every `levels` steps one call evaluates all
+    midpoints the next d = min(levels, steps left) steps can reach: the
+    2^d - 1 interior points of the bisection tree below the current
+    bracket, each formed as 0.5 * (a + b) of its parent bracket's ends, as
+    a step forms it.  The steps then read their midpoints' values from that
+    batch, so they, and the result, are bit for bit those of `levels` = 1
+    whenever a batch entry equals a single-point call; the calls drop to
+    ceil(steps / levels).
+    """
+    steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
+    for step in range(steps):
         mid = 0.5 * (lo + hi)
-        fmid = residual(mid)
+        if levels == 1:
+            fmid = residual(mid)
+        else:
+            if step % levels == 0:
+                edges = [lo, hi]
+                for _ in range(min(levels, steps - step)):
+                    mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+                    edges = [x for pair in zip(edges, mids) for x in pair] \
+                        + [hi]
+                tree = edges[1:-1]
+                batch = dict(zip(tree, residual(np.array(tree))))
+            fmid = batch[mid]
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:

@@ -30,6 +30,10 @@ from .distributions import _bisect_root
 GRID_POINTS = 2000
 _GRID_FLOOR_P = 1e-6
 _ROOT_TOL = 1e-10
+# bisection-tree levels per residual call in the root polish: 63 cutoffs a
+# call, so model B's 26-step polish takes 5 calls (depth 6 was the fastest
+# of 4-9)
+_POLISH_LEVELS = 6
 
 
 class NoRoot(RuntimeError):
@@ -128,7 +132,10 @@ def _batch_residuals(params, policy, grid):
 def _scan_roots(params, policy):
     """Global sign-change scan below the first-best cutoff, extending left
     when the left edge indicates the smallest root lies below the grid;
-    every bracket is bisected on the same residual."""
+    every bracket is bisected on the same residual, six tree levels (63
+    cutoffs) per vectorized call.  Each entry of a call equals a
+    single-cutoff call bit for bit, so the roots are those of one bisection
+    step per call."""
     qstar = params.first_best_cutoff
     lo = params.quality.quantile(_GRID_FLOOR_P)
     hi = qstar - 1e-9 * (1.0 + abs(qstar))
@@ -144,12 +151,13 @@ def _scan_roots(params, policy):
         grid = np.concatenate([ext[:-1], grid])
         vals = np.concatenate([ext_vals[:-1], vals])
 
-    roots = []
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    for i in sign_change:
-        roots.append(float(_bisect_root(lambda q: values(q)[0], grid[i],
-                                        grid[i + 1], vals[i], _ROOT_TOL)))
-    return sorted(roots)
+    # brackets where the residual turns positive or stops being so: an
+    # exact zero on the grid ends one bracket instead of opening two
+    positive = vals > 0.0
+    brackets = np.nonzero(positive[1:] != positive[:-1])[0]
+    return sorted(float(_bisect_root(values, grid[i], grid[i + 1], vals[i],
+                                     _ROOT_TOL, levels=_POLISH_LEVELS))
+                  for i in brackets)
 
 
 def _describe(params, policy, cutoff, all_roots, hypothesis_met=True):
@@ -172,13 +180,19 @@ def _outcome(params, policy, cutoff, elig, sbar, **fields):
 
 
 def _solve_common(params, policy, hypothesis_met=True):
+    """Scan and polish the roots, keep the interior ones, and describe the
+    smallest from the same residual call (each of its entries equals a
+    single-cutoff call bit for bit)."""
     roots = _scan_roots(params, policy)
-    if roots:
-        interior = _batch_residuals(params, policy, roots)[2]
-        roots = [r for r, keep in zip(roots, interior) if keep]
-    if not roots:
+    resid, _, interior, sbar, elig = _batch_residuals(params, policy, roots)
+    if not np.any(interior):
         raise NoRoot(f"no equilibrium cutoff found for {policy}")
-    return _describe(params, policy, roots[0], roots, hypothesis_met)
+    first = np.argmax(interior)
+    return _outcome(params, policy, roots[first], float(elig[first]),
+                    float(sbar[first]), residual=float(abs(resid[first])),
+                    all_roots=tuple(r for r, keep in zip(roots, interior)
+                                    if keep),
+                    hypothesis_met=hypothesis_met)
 
 
 def solve_benchmark(params):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contest_eq import (ALWAYS_SUBMIT, NoConvergence, Normal,
                         NoExclusion, RejectionExclusion, SignalExclusion,
@@ -222,6 +223,77 @@ def test_root_bisection_stops_after_its_step_count():
     root = distributions._bisect_root(step, 1e6, 1e6 + 1.0, -1.0, tol=1e-12)
     assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12))
     assert abs(root - (1e6 + 0.3)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-12, 1e3), st.floats(0.0, 1.0),
+       st.floats(-15.0, 1.0), st.sampled_from(["step", "smooth"]),
+       st.sampled_from([1.0, -1.0]), st.integers(2, 9))
+# near 1e6 one float spacing exceeds the tolerance: midpoints repeat
+@example(1e6, 1.0, 0.3, -12.0, "step", 1.0, 6)
+def test_tree_bisection_takes_the_single_steps(lo, width, at, log_tol, kind,
+                                               sign, levels):
+    # the tree walk evaluates the same midpoints in batches: it must return
+    # the float that single steps return, in ceil(steps / levels) calls
+    hi = lo + width
+    root = lo + at * width
+    tol = width * 10.0 ** log_tol
+
+    def scalar(q):
+        if kind == "step":
+            return sign * (-1.0 if q < root else 1.0)
+        return sign * (q - root) * (1.0 + (q - lo) * (q - lo))
+
+    batches = []
+
+    def batched(qs):
+        batches.append(qs.size)
+        return np.array([scalar(q) for q in qs])
+
+    flo = scalar(lo)
+    single = distributions._bisect_root(scalar, lo, hi, flo, tol)
+    tree = distributions._bisect_root(batched, lo, hi, flo, tol, levels)
+    assert tree == single
+    steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
+    assert len(batches) == math.ceil(steps / levels)
+    assert sum(batches) == sum(2 ** min(levels, steps - i) - 1
+                               for i in range(0, steps, levels))
+
+
+def test_exclusion_solve_makes_at_most_seven_residual_calls(model_v50,
+                                                            monkeypatch):
+    # one scan, five tree calls for the 26 polish steps of its one bracket,
+    # and one call at the polished roots
+    real = equilibria._batch_residuals
+    sizes = []
+
+    def counted(params, policy, grid):
+        sizes.append(np.size(grid))
+        return real(params, policy, grid)
+
+    monkeypatch.setattr(equilibria, "_batch_residuals", counted)
+    out = solve_exclusion(model_v50)
+    assert abs(out.cutoff - V50_Q1) < 1e-6
+    assert len(sizes) <= 7
+
+
+def test_exact_zero_on_the_scan_grid_gives_one_root(model_v50, monkeypatch):
+    # a residual that is exactly zero at a grid point closes one bracket and
+    # must not open a second one, whose bisection would start from the zero
+    # and drift to the next grid point
+    qstar = model_v50.first_best_cutoff
+    grid = np.linspace(model_v50.quality.quantile(equilibria._GRID_FLOOR_P),
+                       qstar - 1e-9 * (1.0 + abs(qstar)),
+                       equilibria.GRID_POINTS)
+    zero = grid[700]
+
+    def linear(params, policy, cutoffs):
+        return (zero - np.atleast_1d(np.asarray(cutoffs, dtype=float)),)
+
+    monkeypatch.setattr(equilibria, "_batch_residuals", linear)
+    roots = equilibria._scan_roots(model_v50, RejectionExclusion(1))
+    assert len(roots) == 1
+    assert abs(roots[0] - zero) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from contest_eq import (NoExclusion, RejectionExclusion,
-                        SignalExclusion, ban_mass, evaluate_success,
+from contest_eq import (NoExclusion, Normal, RejectionExclusion,
+                        SignalExclusion, TypeMix, ban_mass, evaluate_success,
                         lifetime_payoff, normal_model,
                         steady_state_eligibility, truncated_profile)
 from contest_eq import core
@@ -103,3 +103,29 @@ def test_clearing_takes_no_more_steps_than_bisection(params, policy, tol):
     assert mass.call_count - 1 <= bisection
     funded = elig[rows] * core._upper_mass(f, grid[rows], noise, sbar)
     assert np.all(np.abs(funded - k) < 1e-9)
+
+
+# the two-type model of configs/two_type.ini: its quality is a two-part
+# Mixture
+mixture_model = normal_model(
+    var_signal=5.0, reject_cost=1.0, win_value=50.0, budget=0.1,
+    discount=0.97, types=(TypeMix(0.5, Normal(0.5, 2.0)),
+                          TypeMix(0.5, Normal(0.0, 2.0))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies,
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=63))
+def test_batch_rows_equal_single_cutoff_calls(params, policy, at):
+    """Every entry of a `_batch_residuals` call equals a size-1 call at its
+    cutoff bit for bit.  The root polish evaluates 63 bisection-tree points
+    per call and returns the float that single-point bisection returns only
+    because of this."""
+    lo = params.quality.quantile(1e-6)
+    qstar = params.first_best_cutoff
+    cutoffs = lo + np.array(at) * (qstar - lo)
+    batch = _batch_residuals(params, policy, cutoffs)
+    for i, q in enumerate(cutoffs):
+        single = _batch_residuals(params, policy, float(q))
+        for rows, row in zip(batch, single):
+            assert rows[i:i + 1].tobytes() == row.tobytes()
