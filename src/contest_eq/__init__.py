@@ -1,7 +1,7 @@
 """Equilibria of repeated contests under temporary-exclusion policies."""
 
-from .distributions import (Custom, Mixture, NonFiniteIntegrand, Normal,
-                            OutOfRange, ScalarDistribution, integrate)
+from .distributions import (Mixture, NonFiniteIntegrand, Normal, OutOfRange,
+                            ScalarDistribution, integrate)
 from .core import (ALWAYS_SUBMIT, NEVER_SUBMIT, BracketFailure, ModelParams,
                    NoExclusion, ProfileComponent, RejectionExclusion,
                    SignalExclusion, SubmissionProfile, SuccessEvaluation,
@@ -13,9 +13,8 @@ from .equilibria import (EquilibriumOutcome, NoConvergence, NoRoot,
                          solve_exclusion, solve_multi_period,
                          solve_signal_cutoff, solve_two_type,
                          steady_state_eligibility, steady_state_profile)
-from .analysis import (DominanceReport, HypothesisUnmet, SweepEntry,
-                       WinnerDensity, compare_winners, first_best, sweep,
-                       winner_density)
+from .analysis import (DominanceReport, SweepEntry, WinnerDensity,
+                       compare_winners, first_best, sweep, winner_density)
 from .simulation import (SimConfig, SimResult, empirical_best_response,
                          run_simulation, trend_statistic)
 

@@ -14,19 +14,14 @@ import numpy as np
 
 from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
                    _upper_mass, evaluate_success, truncated_profile)
-from .distributions import NonFiniteIntegrand, _bisect_root
+from .distributions import _bisect_root
 from .equilibria import NoConvergence, NoRoot, solve_benchmark
 
 # what a sweep records inline; anything else is a programming error
-_SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, NonFiniteIntegrand,
-                  ValueError)
+_SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, ValueError)
 
 # cumulative and pointwise differences within this slack count as ties
 _SLACK = 1e-9
-
-
-class HypothesisUnmet(RuntimeError):
-    """The noise distribution fails the increasing-hazard-rate requirement."""
 
 
 @dataclass(frozen=True)
@@ -106,29 +101,16 @@ def first_best(params, grid_size=1000):
     }
 
 
-def _increasing_hazard(noise, n=512):
-    # the far upper tail is numerically untestable (survival underflows),
-    # so the check covers the grid where survival is representable
-    lo, hi = noise.support_hint
-    s = np.linspace(lo, hi, n)
-    surv = 1.0 - np.asarray(noise.cdf(s), dtype=float)
-    keep = surv > 1e-12
-    hazard = np.asarray(noise.pdf(s[keep]), dtype=float) / surv[keep]
-    return bool(np.all(np.diff(hazard) >= -1e-9 * np.maximum(hazard[:-1], 1.0)))
-
-
 def compare_winners(h, h0, params):
     """Order two winner densities of equal funded mass.
 
-    The noise must have an increasing hazard rate (HypothesisUnmet
-    otherwise).  Cumulative comparison on the common grid decides
+    `params` is the model both densities come from; the ordering result
+    needs noise with an increasing hazard rate, which its normal noise
+    always has.  Cumulative comparison on the common grid decides
     dominance; otherwise a sign scan of h - h0 looks for the single-crossing
     pattern (h above on [entry cutoff, qbar], below outside) and locates
     qbar by bisection.
     """
-    if not _increasing_hazard(params.noise):
-        raise HypothesisUnmet("noise distribution lacks an increasing "
-                              "hazard rate")
     if h.grid.shape != h0.grid.shape or not np.allclose(h.grid, h0.grid):
         raise ValueError("winner densities must share a grid")
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
-from .distributions import (INTEGRATE_PANELS, TRUNCATION_SIGMAS, Mixture,
-                            Normal, ScalarDistribution, _check_finite,
-                            _gl_rule, integrate)
+from .distributions import (TRUNCATION_SIGMAS, Mixture, Normal,
+                            ScalarDistribution)
 
 # Entry cutoffs are extended reals: comparisons and cdf evaluation are the
 # only operations ever applied to the infinite values.
@@ -35,16 +34,23 @@ class BracketFailure(RuntimeError):
     clears it: malformed profile."""
 
 
+def _require_normal(name, dist):
+    if not isinstance(dist, Normal):
+        raise TypeError(f"{name} must be Normal, got {type(dist).__name__}")
+
+
 @dataclass(frozen=True)
 class TypeMix:
-    """One researcher type: its population share and quality distribution."""
+    """One researcher type: its population share and normal quality
+    distribution."""
 
     share: float
-    quality: ScalarDistribution
+    quality: Normal
 
     def __post_init__(self):
         if not 0.0 < self.share <= 1.0:
             raise ValueError("type share must lie in (0, 1]")
+        _require_normal("type quality", self.quality)
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,10 @@ class ModelParams:
     reject_cost  loss suffered on rejection (C > 0)
     budget       volume of proposals the agency can fund per period, in (0,1)
     discount     per-period discount factor, in (0,1)
-    quality      per-period idea quality distribution (the population mixture
-                 when `types` is given)
-    noise        review noise; the signal is s = q + e with e ~ noise
+    quality      per-period idea quality distribution: Normal, or the
+                 population mixture built from `types` when they are given
+                 (a passed quality is then ignored)
+    noise        Normal review noise; the signal is s = q + e with e ~ noise
     types        optional tuple of TypeMix for a heterogeneous population
     """
 
@@ -66,7 +73,7 @@ class ModelParams:
     budget: float
     discount: float
     quality: ScalarDistribution | None
-    noise: ScalarDistribution
+    noise: Normal
     types: tuple[TypeMix, ...] | None = None
 
     def __post_init__(self):
@@ -78,6 +85,7 @@ class ModelParams:
             raise ValueError("budget must lie in (0, 1)")
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
+        _require_normal("noise", self.noise)
         if self.types is not None:
             types = tuple(self.types)
             total = sum(t.share for t in types)
@@ -89,6 +97,8 @@ class ModelParams:
                 self, "quality", Mixture([(t.share, t.quality) for t in types]))
         elif self.quality is None:
             raise ValueError("quality distribution required without types")
+        else:
+            _require_normal("quality", self.quality)
 
     @property
     def first_best_cutoff(self):
@@ -165,17 +175,6 @@ class SubmissionProfile:
             ProfileComponent(c.base, c.cutoff, c.eligibility * factor, c.weight)
             for c in self.components))
 
-    def integral(self, g):
-        """integral phi(q) g(q) dq, component by component with `integrate`
-        on each truncated support."""
-        total = 0.0
-        for c in self.components:
-            lo, hi = c.base.support_hint
-            total += c.weight * c.eligibility * integrate(
-                lambda q: c.base.pdf(q) * np.asarray(g(q), dtype=float),
-                max(lo, c.cutoff), hi)
-        return total
-
 
 def truncated_profile(base, cutoff, eligibility=1.0, weight=1.0):
     """Single-component profile: share `eligibility` submits above `cutoff`."""
@@ -247,36 +246,23 @@ def _upper_mass(base, cutoff, noise, b):
     over `cutoff` and `b` (either may be +-inf).
 
     Normal quality and noise make it a bivariate-normal orthant, computed
-    in closed form; a mixture base sums its weighted parts.  Any other pair
-    integrates on the composite Gauss-Legendre nodes of the base's
-    truncated support above the cutoff.
+    in closed form; a mixture base sums its weighted parts.
     """
     if isinstance(base, Mixture):
         return sum(w * _upper_mass(d, cutoff, noise, b) for w, d in base.parts)
-    if isinstance(base, Normal) and isinstance(noise, Normal):
-        h, z, rho, r, _ = _standardize(base, noise, cutoff, b)
-        return _normal_orthant(h, z, rho, r)
-    lo, hi = base.support_hint
-    cutoff, b = np.broadcast_arrays(np.asarray(cutoff, dtype=float),
-                                    np.asarray(b, dtype=float))
-    x, w = _gl_rule(np.clip(cutoff, lo, hi).ravel(), hi, INTEGRATE_PANELS)
-    survival = 1.0 - np.asarray(noise.cdf(b.reshape(-1, 1) - x), dtype=float)
-    mass = _check_finite(base.pdf(x)) * w
-    return np.einsum("ij,ij->i", mass, survival).reshape(cutoff.shape)
+    h, z, rho, r, _ = _standardize(base, noise, cutoff, b)
+    return _normal_orthant(h, z, rho, r)
 
 
 def _signal_density(base, cutoff, noise, b):
     """-d/db of `_upper_mass`: the density of the signal at b jointly with
-    q >= cutoff.  nan for a pair without the closed form, whose clearing
-    solves then step by midpoints alone."""
+    q >= cutoff."""
     if isinstance(base, Mixture):
         return sum(w * _signal_density(d, cutoff, noise, b)
                    for w, d in base.parts)
-    if isinstance(base, Normal) and isinstance(noise, Normal):
-        h, z, rho, r, sd_s = _standardize(base, noise, cutoff, b)
-        return np.exp(-0.5 * z * z) / (sd_s * math.sqrt(2.0 * math.pi)) \
-            * ndtr((rho * z - h) / r)
-    return math.nan
+    h, z, rho, r, sd_s = _standardize(base, noise, cutoff, b)
+    return np.exp(-0.5 * z * z) / (sd_s * math.sqrt(2.0 * math.pi)) \
+        * ndtr((rho * z - h) / r)
 
 
 def _clearing_thresholds(parts, params, lo, hi, tol):

@@ -1,14 +1,13 @@
-"""Scalar distributions and the numerical integration kernel.
+"""Scalar distributions, the quadrature kernel and the one bisection.
 
-Quality and review-noise inputs are continuous distributions with strictly
-positive densities.  With normal quality and noise every mass the package
-needs is a bivariate-normal orthant probability in closed form
-(`core._upper_mass`); normal mixtures sum their parts.  The remaining
-integrals (custom distributions, `integrate` itself) use one composite
-Gauss-Legendre rule (`_gl_rule`), whose infinite limits are truncated at
-mean +- TRUNCATION_SIGMAS standard deviations of the governing
-distribution; for normal tails the mass beyond 10 sigma is ~1e-23, far
-below every tolerance used downstream.
+Quality and review noise are normal, and a heterogeneous population's
+quality is a mixture of normal types.  Every mass the package needs is then
+a bivariate-normal orthant probability in closed form
+(`core._upper_mass`); mixtures sum their parts.  `integrate` remains the
+public quadrature: one composite Gauss-Legendre rule whose infinite limits
+are truncated at mean +- TRUNCATION_SIGMAS standard deviations of the
+governing distribution; for normal tails the mass beyond 10 sigma is
+~1e-23, far below every tolerance used downstream.
 """
 
 from __future__ import annotations
@@ -33,21 +32,6 @@ TRUNCATION_SIGMAS = 10.0
 INTEGRATE_PANELS = 8
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _gl_rule(lows, hi, panels):
-    """Composite 64-node Gauss-Legendre rule on [low, hi] for every entry of
-    `lows` (and of `hi`, when it is an array too): (nodes, weights) arrays
-    with one row per lower limit and `panels` equal panels per row."""
-    lows = np.atleast_1d(np.asarray(lows, dtype=float))
-    n = lows.size
-    edges = lows[:, None] + (hi - lows)[:, None] * \
-        np.linspace(0.0, 1.0, panels + 1)[None, :]
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(n, -1)
-    w = (half[:, :, None] * _GL_WEIGHTS).reshape(n, -1)
-    return x, w
 
 
 def _bisect_root(residual, lo, hi, flo, tol, levels=1):
@@ -112,22 +96,24 @@ def integrate(f, lo, hi, support=None):
         raise ValueError("integration endpoints must be finite after clamping")
     if hi <= lo:
         return 0.0
-    x, w = _gl_rule(lo, hi, INTEGRATE_PANELS)
-    return float(np.dot(w[0], _check_finite(f(x[0]))))
-
-
-def _check_finite(values):
-    values = np.asarray(values, dtype=float)
+    edges = lo + (hi - lo) * np.linspace(0.0, 1.0, INTEGRATE_PANELS + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    values = np.asarray(f((mid[:, None] + half[:, None] * _GL_NODES).ravel()),
+                        dtype=float)
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand("integrand returned non-finite values")
-    return values
+    return float(np.dot((half[:, None] * _GL_WEIGHTS).ravel(), values))
 
 
 class ScalarDistribution:
     """Continuous scalar distribution: pdf, cdf, quantile, sampler.
 
-    Subclasses must set `support_hint` (the truncation interval for
-    numerical integrals), `mean` and `stddev`.  cdf must be exact at +-inf.
+    The package's two laws are `Normal` and a `Mixture` of normals; model
+    constructors reject anything else.  Subclasses set `support_hint` (the
+    truncation interval for numerical integrals), `mean` and `stddev`,
+    provide pdf, cdf (exact at +-inf) and `sample`, and may override the
+    bisection quantile.
     """
 
     support_hint: tuple[float, float]
@@ -154,11 +140,6 @@ class ScalarDistribution:
         return _bisect_root(lambda q: self.cdf(q) - p, lo, hi,
                             self.cdf(lo) - p,
                             1e-14 * max(1.0, abs(lo), abs(hi)))
-
-    def sample(self, rng, size):
-        """Draw by inverse-cdf; overridden where a direct sampler exists."""
-        u = rng.random(size)
-        return np.vectorize(self.quantile)(u)
 
 
 def _check_prob(p):
@@ -199,51 +180,6 @@ class Normal(ScalarDistribution):
 
     def sample(self, rng, size):
         return rng.normal(self.mean, self.stddev, size)
-
-
-class Custom(ScalarDistribution):
-    """Distribution defined by user-supplied pdf/cdf handles.
-
-    `support` bounds the numerical truncation.  A quantile handle is
-    optional; absent one, the base-class bisection on the cdf is used.
-    Moments default to numerical estimates over the support.
-    """
-
-    def __init__(self, pdf, cdf, support, quantile=None, mean=None, stddev=None):
-        self._pdf = pdf
-        self._cdf = cdf
-        self._quantile = quantile
-        self.support_hint = (float(support[0]), float(support[1]))
-        if mean is None:
-            mean = integrate(lambda q: q * np.asarray(pdf(q), dtype=float),
-                             *self.support_hint)
-        if stddev is None:
-            m2 = integrate(lambda q: q * q * np.asarray(pdf(q), dtype=float),
-                           *self.support_hint)
-            stddev = math.sqrt(max(m2 - mean * mean, 1e-300))
-        self.mean = float(mean)
-        self.stddev = float(stddev)
-
-    def pdf(self, x):
-        out = np.asarray(self._pdf(np.asarray(x, dtype=float)), dtype=float)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        if np.isscalar(x) or np.ndim(x) == 0:
-            x = float(x)
-            if x == math.inf:
-                return 1.0
-            if x == -math.inf:
-                return 0.0
-            return float(self._cdf(x))
-        out = np.asarray(self._cdf(np.asarray(x, dtype=float)), dtype=float)
-        return out
-
-    def quantile(self, p):
-        if self._quantile is not None:
-            _check_prob(p)
-            return float(self._quantile(p))
-        return super().quantile(p)
 
 
 class Mixture(ScalarDistribution):

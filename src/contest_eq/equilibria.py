@@ -304,11 +304,11 @@ def _type_state(params, policy, cutoffs, shares):
     return np.array(gaps), np.array(flows), profile, ev, payoffs
 
 
-def _fosd_on_grid(d_hi, d_lo, n=400):
-    lo = min(d_hi.support_hint[0], d_lo.support_hint[0])
-    hi = max(d_hi.support_hint[1], d_lo.support_hint[1])
-    qs = np.linspace(lo, hi, n)
-    return bool(np.all(np.asarray(d_hi.cdf(qs)) <= np.asarray(d_lo.cdf(qs)) + 1e-12))
+def _dominates(d_hi, d_lo):
+    """Whether normal `d_hi` first-order dominates normal `d_lo`: with equal
+    variances when its mean is weakly higher; normals of unequal variances
+    cross and never dominate each other."""
+    return d_hi.variance == d_lo.variance and d_hi.mean >= d_lo.mean
 
 
 def _newton(fun, x):
@@ -364,7 +364,7 @@ def solve_two_type(params):
             best_residual=max(residual, elig_resid))
     for (qa, ta), (qb, tb) in itertools.permutations(
             zip(cutoffs, params.types), 2):
-        if qa < qb - 1e-9 and _fosd_on_grid(ta.quality, tb.quality):
+        if qa < qb - 1e-9 and _dominates(ta.quality, tb.quality):
             raise NoConvergence("a dominant type uses the lower cutoff",
                                 best_residual=residual)
 

@@ -131,24 +131,17 @@ def run_simulation(config, params):
     sigma_noise = params.noise.stddev
     noise_mean = params.noise.mean
 
-    from .distributions import Normal
     type_dists = [params.types[i].quality if params.types else params.quality
                   for i in range(n_types)]
-    any_custom = any(not isinstance(d, Normal) for d in type_dists)
 
     for p in range(config.n_periods):
         rng = _period_rng(config.seed, p)
         # per-agent-per-period substreams: draw for everyone, mask later;
-        # the draw order (quality z, inverse-cdf uniforms, noise) is fixed
+        # the draw order (quality z, then noise) is fixed
         quality = np.empty(n)
         z = rng.standard_normal(n)
-        u = rng.random(n) if any_custom else None
-        for i, idx in enumerate(type_idx):
-            dist = type_dists[i]
-            if isinstance(dist, Normal):
-                quality[idx] = dist.mean + dist.stddev * z[idx]
-            else:
-                quality[idx] = np.array([dist.quantile(v) for v in u[idx]])
+        for dist, idx in zip(type_dists, type_idx):
+            quality[idx] = dist.mean + dist.stddev * z[idx]
         noise = noise_mean + sigma_noise * rng.standard_normal(n)
 
         eligible = ban_left == 0

@@ -63,6 +63,15 @@ def upper_mass(cutoff, b, mu_q, sd_q, mu_e, sd_e, n=100_001):
     return float(total)
 
 
+def funded_mass(profile, b, noise):
+    """Mass of a submission profile whose signal clears b (its volume at
+    b = -inf): the components' weight x eligibility times `upper_mass`."""
+    return sum(c.weight * c.eligibility
+               * upper_mass(c.cutoff, b, c.base.mean, c.base.stddev,
+                            noise.mean, noise.stddev)
+               for c in profile.components)
+
+
 def clearing_sbar(mu_q, var_q, var_s, k, cutoff=-np.inf, elig=1.0,
                   n=SIMPSON_N):
     """Funding signal threshold for elig * f^cutoff under normal noise.

@@ -162,7 +162,7 @@ def test_criterion_6_assumption_suite():
         if profile.volume() <= p.budget:
             continue
         ev = evaluate_success(profile, p)
-        funded = profile.integral(lambda q: np.asarray(ev.win_prob(q)))
+        funded = oracles.funded_mass(profile, ev.sbar, p.noise)
         clearing_ok &= abs(funded - p.budget) < 1e-8
         qs = ev.sbar + np.linspace(-7.0, 7.0, 1000) * p.noise.stddev
         monotone_ok &= bool(np.all(np.diff(ev.win_prob(qs)) > 0.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contest_eq import (ALWAYS_SUBMIT, NEVER_SUBMIT, Mixture, Normal,
-                        ProfileComponent, RejectionExclusion, SignalExclusion,
+                        ProfileComponent, RejectionExclusion,
+                        ScalarDistribution, SignalExclusion,
                         SubmissionProfile,
                         ban_mass, evaluate_success, lifetime_payoff,
                         normal_model, signal_cutoff,
@@ -17,6 +19,33 @@ import oracles
 from reference import V30_SBAR_FULL, V50_SBAR_EQ
 
 INF = math.inf
+
+
+# ---------------------------------------------------------------------------
+# model primitives take normal laws only
+
+
+class _NotNormal(ScalarDistribution):
+    """A stand-in for any non-normal law."""
+
+
+def test_model_rejects_non_normal_laws():
+    plain = normal_model()
+    for law in ({"noise": _NotNormal()}, {"quality": _NotNormal()}):
+        with pytest.raises(TypeError):
+            dataclasses.replace(plain, **law)
+    with pytest.raises(TypeError):
+        TypeMix(0.5, _NotNormal())
+    typed = normal_model(types=(TypeMix(0.5, Normal(0.5, 1.0)),
+                                TypeMix(0.5, Normal(0.0, 1.0))))
+    with pytest.raises(TypeError):
+        dataclasses.replace(typed, noise=_NotNormal())
+    # replace hands the built Mixture back in as `quality`, which a typed
+    # model ignores and rebuilds from its types
+    again = dataclasses.replace(typed, win_value=50.0)
+    assert again.win_value == 50.0
+    assert isinstance(again.quality, Mixture)
+    assert again.quality.mean == typed.quality.mean
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +66,7 @@ def test_clearing_full_participation_matches_brute_force(model_v30):
     sbar = signal_cutoff(profile, p)
     assert abs(sbar - V30_SBAR_FULL) < 1e-8
     # clearing residual at the returned threshold
-    ev = evaluate_success(profile, p)
-    funded = profile.integral(lambda q: np.asarray(ev.win_prob(q)))
+    funded = oracles.funded_mass(profile, sbar, p.noise)
     assert abs(funded - p.budget) < 1e-10
 
 
@@ -367,7 +395,7 @@ def test_market_clearing_monotonicity_and_ordering():
         if profile.volume() <= p.budget:
             continue
         ev = evaluate_success(profile, p)
-        funded = profile.integral(lambda q: np.asarray(ev.win_prob(q)))
+        funded = oracles.funded_mass(profile, ev.sbar, p.noise)
         assert abs(funded - p.budget) < 1e-8
         # strict increase over the representable range of the noise cdf
         qs = ev.sbar + np.linspace(-7.0, 7.0, 1000) * p.noise.stddev
@@ -396,7 +424,7 @@ def test_smaller_competition_raises_win_prob(model_v50):
 def test_profile_volume_matches_integral(model_v50):
     p = model_v50
     profile = steady_state_profile(p, 0.3, RejectionExclusion(3))
-    by_integral = profile.integral(lambda q: np.ones_like(q))
+    by_integral = oracles.funded_mass(profile, -INF, p.noise)
     assert abs(profile.volume() - by_integral) < 1e-8
     # bounded above by the population density
     qs = np.linspace(*p.quality.support_hint, 500)
@@ -404,15 +432,16 @@ def test_profile_volume_matches_integral(model_v50):
 
 
 def test_clearing_bracket_failure_on_malformed_profile():
-    # a profile whose reported volume exceeds the budget while its density
-    # carries no mass: the clearing residual never changes sign
-    from contest_eq import BracketFailure, Custom, signal_cutoff
-    base = Normal(0.0, 1.0)
-    broken = Custom(pdf=lambda q: np.zeros_like(np.asarray(q, dtype=float)),
-                    cdf=base.cdf, support=base.support_hint, mean=0.0,
-                    stddev=1.0)
+    # rows whose submitted mass does not exceed the budget (a high cutoff;
+    # a low eligibility): no threshold clears them, so the clearing
+    # residual never changes sign
+    from contest_eq import BracketFailure
+    from contest_eq.core import _clearing_thresholds
     p = normal_model()
-    profile = truncated_profile(broken, -1.0)
-    assert profile.volume() > p.budget  # cdf-based volume looks fine
-    with pytest.raises(BracketFailure):
-        signal_cutoff(profile, p)
+    base = p.quality
+    lo, hi = base.support_hint
+    for cutoffs, masses in (([-1.0, 3.0], [1.0, 1.0]),
+                            ([-1.0, -1.0], [1.0, 0.05])):
+        parts = [(base, np.array(cutoffs), np.array(masses))]
+        with pytest.raises(BracketFailure):
+            _clearing_thresholds(parts, p, lo, hi, 1e-14)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contest_eq import (Custom, Mixture, NonFiniteIntegrand, Normal,
-                        OutOfRange, integrate)
+from contest_eq import Mixture, NonFiniteIntegrand, Normal, OutOfRange, integrate
 
 import oracles
 from reference import STD_NORMAL_Q90
@@ -98,23 +97,6 @@ def test_nonfinite_integrand_raises():
     # nan on the half of the domain below 0.5, which the nodes sample
     with pytest.raises(NonFiniteIntegrand):
         integrate(lambda q: np.sqrt(q - 0.5), 0.0, 1.0)
-
-
-def test_custom_distribution_synthesizes_quantile():
-    base = Normal(1.0, 0.25)
-    dist = Custom(pdf=base.pdf, cdf=base.cdf, support=base.support_hint)
-    for p in (0.1, 0.5, 0.93):
-        assert abs(dist.cdf(dist.quantile(p)) - p) < 1e-10
-    assert dist.cdf(INF) == 1.0
-    assert dist.cdf(-INF) == 0.0
-    assert abs(dist.mean - 1.0) < 1e-8
-
-
-def test_custom_distribution_uses_supplied_quantile():
-    base = Normal(0.0, 1.0)
-    dist = Custom(pdf=base.pdf, cdf=base.cdf, support=base.support_hint,
-                  quantile=base.quantile)
-    assert dist.quantile(0.9) == base.quantile(0.9)
 
 
 def test_mixture_density_and_weights():

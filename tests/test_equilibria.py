@@ -388,6 +388,21 @@ def test_two_type_identical_types_collapse_to_pooled():
     assert abs(sum(out.eligibility) - pooled.eligibility[0]) < 1e-8
 
 
+@pytest.mark.parametrize("hi, lo, dominates", [
+    (Normal(0.5, 2.0), Normal(0.0, 2.0), True),
+    (Normal(0.0, 2.0), Normal(0.0, 2.0), True),
+    (Normal(0.0, 2.0), Normal(0.5, 2.0), False),
+    (Normal(0.5, 1.0), Normal(0.0, 2.0), False),
+    (Normal(5.0, 2.0), Normal(0.0, 1.0), False),
+])
+def test_type_dominance_rule(hi, lo, dominates):
+    # equal variances with a weakly higher mean dominate; unequal variances
+    # cross, which the cdfs on a wide grid confirm
+    assert equilibria._dominates(hi, lo) is dominates
+    qs = np.linspace(-30.0, 30.0, 6001)
+    assert bool(np.all(hi.cdf(qs) <= lo.cdf(qs))) is dominates
+
+
 def test_two_type_needs_two_types(model_v50):
     with pytest.raises(ValueError):
         solve_two_type(model_v50)
