@@ -32,7 +32,7 @@ h0 = winner_density(steady_state_profile(params, bench.cutoff,
                                          NoExclusion()), params)
 h1 = winner_density(steady_state_profile(params, excl.cutoff,
                                          RejectionExclusion(1)), params)
-report = compare_winners(h1, h0, params)
+report = compare_winners(h1, h0)
 print(f"\nwinner quality comparison: {report.verdict}")
 print(f"  bans eliminate funding below {excl.cutoff:+.4f}, concentrate it on"
       f" [{excl.cutoff:+.4f}, {report.qbar:+.4f}],")

@@ -101,15 +101,14 @@ def first_best(params, grid_size=1000):
     }
 
 
-def compare_winners(h, h0, params):
+def compare_winners(h, h0):
     """Order two winner densities of equal funded mass.
 
-    `params` is the model both densities come from; the ordering result
-    needs noise with an increasing hazard rate, which its normal noise
-    always has.  Cumulative comparison on the common grid decides
-    dominance; otherwise a sign scan of h - h0 looks for the single-crossing
-    pattern (h above on [entry cutoff, qbar], below outside) and locates
-    qbar by bisection.
+    The ordering result needs review noise with an increasing hazard rate,
+    which normal noise always has.  Cumulative comparison on the common
+    grid decides dominance; otherwise a sign scan of h - h0 looks for the
+    single-crossing pattern (h above on [entry cutoff, qbar], below
+    outside) and locates qbar by bisection.
     """
     if h.grid.shape != h0.grid.shape or not np.allclose(h.grid, h0.grid):
         raise ValueError("winner densities must share a grid")
@@ -147,7 +146,7 @@ def _single_crossing_point(h, h0, grid, diff):
     i_hi = last_pos + after[0]
     lo_q, hi_q = grid[i_hi - 1], grid[i_hi]
 
-    fn = lambda q: float(h(q) - h0(q))
+    fn = lambda q: h(q) - h0(q)
     qbar = _bisect_root(fn, lo_q, hi_q, fn(lo_q),
                         1e-12 * max(1.0, abs(0.5 * (lo_q + hi_q))))
 
@@ -170,11 +169,12 @@ class SweepEntry:
 def sweep(params, axis, values, regime=None):
     """Solve one equilibrium per value of a model or policy knob.
 
-    axis is one of "V", "C", "k", "delta" (model scalars, solved under the
-    policy `regime`, free entry by default), "t" (ban length,
-    rejection-exclusion regime) or "sbar_ban" (signal regime).  Solver
-    failures and invalid values are recorded inline instead of aborting the
-    sweep.
+    axis is one of "V", "C", "k", "delta" (model scalars, each solved by
+    `regime.solve(params)`, a policy object or anything else with that
+    method, free entry by default), "t" (ban length, rejection-exclusion
+    regime) or "sbar_ban" (signal regime).  Solver failures and invalid
+    values, a fractional ban length among them, are recorded inline instead
+    of aborting the sweep.
     """
     field = {"V": "win_value", "C": "reject_cost", "k": "budget",
              "delta": "discount"}.get(axis)
@@ -188,7 +188,7 @@ def sweep(params, axis, values, regime=None):
                 out = solve_benchmark(p) if regime is None \
                     else regime.solve(p)
             elif axis == "t":
-                out = RejectionExclusion(int(v)).solve(params)
+                out = RejectionExclusion(v).solve(params)
             else:
                 out = SignalExclusion(float(v)).solve(params)
             entries.append(SweepEntry(value=float(v), outcome=out))

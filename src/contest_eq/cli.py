@@ -70,11 +70,13 @@ class RunConfig:
     output_path: str = "out.csv"
     grid_size: int = 1000
 
-    def solve(self):
-        """The configured regime's equilibrium, from its public solver."""
+    def solve(self, params=None):
+        """The configured regime's equilibrium, from its public solver, of
+        `params` (the configured model by default)."""
+        params = self.params if params is None else params
         if self.regime == "two_type":
-            return solve_two_type(self.params)
-        return self.policy.solve(self.params)
+            return solve_two_type(params)
+        return self.policy.solve(params)
 
 
 def _float(section, key, raw):
@@ -267,7 +269,10 @@ def _cmd_solve(cfg):
 def _cmd_sweep(cfg):
     if cfg.sweep_axis is None or not cfg.sweep_values:
         raise ValidationError("sweep needs [sweep] axis and values")
-    entries = sweep(cfg.params, cfg.sweep_axis, cfg.sweep_values, cfg.policy)
+    if cfg.regime == "two_type" and cfg.sweep_axis in ("t", "sbar_ban"):
+        raise ValidationError(f"the two_type regime has no {cfg.sweep_axis} "
+                              "axis: it uses one-period rejection bans")
+    entries = sweep(cfg.params, cfg.sweep_axis, cfg.sweep_values, cfg)
     rows, ok = [], True
     for e in entries:
         if e.error is not None:
@@ -329,7 +334,7 @@ def _cmd_compare(cfg):
     else:
         profile = steady_state_profile(cfg.params, other.cutoff, cfg.policy)
     h = winner_density(profile, cfg.params, cfg.grid_size)
-    report = compare_winners(h, h0, cfg.params)
+    report = compare_winners(h, h0)
     _write_csv(cfg.output_path, ["q", "h_policy", "h_benchmark", "cdf_diff"],
                [[q, hv, h0v, d] for q, hv, h0v, d in
                 zip(h.grid, h.values, h0.values, report.cdf_diff)])

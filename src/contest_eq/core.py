@@ -129,6 +129,9 @@ class ProfileComponent:
     weight: float = 1.0
 
     def __post_init__(self):
+        # every mass of a profile is a normal orthant
+        for _, d in getattr(self.base, "parts", [(1.0, self.base)]):
+            _require_normal("profile base", d)
         if not 0.0 < self.eligibility <= 1.0:
             raise ValueError("eligibility must lie in (0, 1]")
         if not 0.0 < self.weight <= 1.0:
@@ -176,15 +179,14 @@ class SubmissionProfile:
             for c in self.components))
 
 
-def truncated_profile(base, cutoff, eligibility=1.0, weight=1.0):
+def truncated_profile(base, cutoff, eligibility=1.0):
     """Single-component profile: share `eligibility` submits above `cutoff`."""
-    return SubmissionProfile(
-        (ProfileComponent(base, cutoff, eligibility, weight),))
+    return SubmissionProfile((ProfileComponent(base, cutoff, eligibility),))
 
 
 @dataclass(frozen=True)
 class SuccessEvaluation:
-    """Review outcome for a fixed submission profile.
+    """Review outcome of a submission profile.
 
     `sbar` is the market-clearing funding threshold (-inf when the contest is
     under-subscribed and everything is funded); win_prob(q) is the chance a
@@ -192,7 +194,6 @@ class SuccessEvaluation:
     """
 
     sbar: float
-    profile: SubmissionProfile
     noise: ScalarDistribution
 
     def win_prob(self, q):
@@ -371,7 +372,7 @@ def signal_cutoff(profile, params):
 def evaluate_success(profile, params):
     """Solve market clearing and package the success function."""
     sbar = signal_cutoff(profile, params)
-    return SuccessEvaluation(sbar=sbar, profile=profile, noise=params.noise)
+    return SuccessEvaluation(sbar=sbar, noise=params.noise)
 
 
 def win_mass(cutoff, evaluation, base):
@@ -413,8 +414,9 @@ class RejectionExclusion:
     periods: int = 1
 
     def __post_init__(self):
-        if self.periods < 1 or self.periods != int(self.periods):
+        if not (self.periods >= 1 and float(self.periods).is_integer()):
             raise ValueError("ban length must be a positive integer")
+        object.__setattr__(self, "periods", int(self.periods))  # 2.0: t=2
 
     @property
     def regime(self):
@@ -529,17 +531,16 @@ def lifetime_payoff(cutoff, evaluation, params, policy=RejectionExclusion(1),
 
     `policy` sets the ban rule (one-period rejection bans by default) and
     `base` the researcher's own quality distribution (the population's by
-    default).
+    default).  Vectorized over `cutoff`; NEVER_SUBMIT gives 0.
     """
-    if cutoff == NEVER_SUBMIT:
-        return 0.0
     if base is None:
         base = params.quality
     F = base.cdf(cutoff)
-    win = win_mass(cutoff, evaluation, base)
+    win = _upper_mass(base, cutoff, evaluation.noise, evaluation.sbar)
     reject = (1.0 - F) - win
     ban = policy.ban(F, lambda s: ban_mass(cutoff, s, base, params.noise))
-    return _payoff(win, reject, policy.payoff_ban(reject, ban, params), params)
+    out = _payoff(win, reject, policy.payoff_ban(reject, ban, params), params)
+    return out if np.ndim(out) else float(out)
 
 
 def welfare(profile, params):

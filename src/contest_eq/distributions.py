@@ -30,41 +30,39 @@ class NonFiniteIntegrand(ValueError):
 # Gauss-Legendre panels per integral.
 TRUNCATION_SIGMAS = 10.0
 INTEGRATE_PANELS = 8
+# bisection-tree levels per residual call of `_bisect_root` (63 points): the
+# solvers' 26-step root polish takes 5 calls, and 6 was the fastest of 4-9
+TREE_LEVELS = 6
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _bisect_root(residual, lo, hi, flo, tol, levels=1):
+def _bisect_root(residual, lo, hi, flo, tol):
     """Bisect a sign change of `residual` on [lo, hi], whose value at `lo`
     is `flo`, for ceil(log2((hi - lo) / tol)) steps and return the midpoint
     of the last bracket.  The step count is the only stop, so the call
     count is known in advance.  The package's one bisection.
 
-    With `levels` = 1 `residual` takes one float per call.  With more it
-    takes an array, and every `levels` steps one call evaluates all
-    midpoints the next d = min(levels, steps left) steps can reach: the
-    2^d - 1 interior points of the bisection tree below the current
+    `residual` takes an array.  Every TREE_LEVELS steps one call evaluates
+    all midpoints the next d = min(TREE_LEVELS, steps left) steps can reach:
+    the 2^d - 1 interior points of the bisection tree below the current
     bracket, each formed as 0.5 * (a + b) of its parent bracket's ends, as
     a step forms it.  The steps then read their midpoints' values from that
-    batch, so they, and the result, are bit for bit those of `levels` = 1
-    whenever a batch entry equals a single-point call; the calls drop to
-    ceil(steps / levels).
+    batch, so they, and the result, are bit for bit those of one step per
+    call whenever a batch entry equals a single-point call; the calls drop
+    to ceil(steps / TREE_LEVELS).
     """
     steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
     for step in range(steps):
+        if step % TREE_LEVELS == 0:
+            edges = [lo, hi]
+            for _ in range(min(TREE_LEVELS, steps - step)):
+                mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+                edges = [x for pair in zip(edges, mids) for x in pair] + [hi]
+            tree = edges[1:-1]
+            batch = dict(zip(tree, residual(np.array(tree))))
         mid = 0.5 * (lo + hi)
-        if levels == 1:
-            fmid = residual(mid)
-        else:
-            if step % levels == 0:
-                edges = [lo, hi]
-                for _ in range(min(levels, steps - step)):
-                    mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
-                    edges = [x for pair in zip(edges, mids) for x in pair] \
-                        + [hi]
-                tree = edges[1:-1]
-                batch = dict(zip(tree, residual(np.array(tree))))
-            fmid = batch[mid]
+        fmid = batch[mid]
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
@@ -129,7 +127,6 @@ class ScalarDistribution:
     def quantile(self, p):
         """Inverse cdf; synthesized by bisection unless overridden."""
         _check_prob(p)
-        p = float(p)  # numpy-scalar arithmetic slows every bisection step
         lo, hi = self.support_hint
         span = hi - lo
         # widen a support hint too tight for an extreme p

@@ -30,10 +30,6 @@ from .distributions import _bisect_root
 GRID_POINTS = 2000
 _GRID_FLOOR_P = 1e-6
 _ROOT_TOL = 1e-10
-# bisection-tree levels per residual call in the root polish: 63 cutoffs a
-# call, so model B's 26-step polish takes 5 calls (depth 6 was the fastest
-# of 4-9)
-_POLISH_LEVELS = 6
 
 
 class NoRoot(RuntimeError):
@@ -132,10 +128,9 @@ def _batch_residuals(params, policy, grid):
 def _scan_roots(params, policy):
     """Global sign-change scan below the first-best cutoff, extending left
     when the left edge indicates the smallest root lies below the grid;
-    every bracket is bisected on the same residual, six tree levels (63
-    cutoffs) per vectorized call.  Each entry of a call equals a
-    single-cutoff call bit for bit, so the roots are those of one bisection
-    step per call."""
+    exact zeros on the grid are roots, and every bracket between nonzero
+    values of opposite sign is bisected on the same residual (each entry of
+    a tree call equals a single-cutoff call bit for bit)."""
     qstar = params.first_best_cutoff
     lo = params.quality.quantile(_GRID_FLOOR_P)
     hi = qstar - 1e-9 * (1.0 + abs(qstar))
@@ -151,13 +146,13 @@ def _scan_roots(params, policy):
         grid = np.concatenate([ext[:-1], grid])
         vals = np.concatenate([ext_vals[:-1], vals])
 
-    # brackets where the residual turns positive or stops being so: an
-    # exact zero on the grid ends one bracket instead of opening two
-    positive = vals > 0.0
-    brackets = np.nonzero(positive[1:] != positive[:-1])[0]
-    return sorted(float(_bisect_root(values, grid[i], grid[i + 1], vals[i],
-                                     _ROOT_TOL, levels=_POLISH_LEVELS))
-                  for i in brackets)
+    # a residual that only touches zero at a grid point has its root there,
+    # and no bracket opens at a zero
+    sign = np.sign(vals)
+    brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+    return sorted(grid[vals == 0.0].tolist()
+                  + [float(_bisect_root(values, grid[i], grid[i + 1], vals[i],
+                                        _ROOT_TOL)) for i in brackets])
 
 
 def _describe(params, policy, cutoff, all_roots, hypothesis_met=True):
@@ -170,7 +165,7 @@ def _describe(params, policy, cutoff, all_roots, hypothesis_met=True):
 
 def _outcome(params, policy, cutoff, elig, sbar, **fields):
     profile = truncated_profile(params.quality, cutoff, elig)
-    ev = SuccessEvaluation(sbar=sbar, profile=profile, noise=params.noise)
+    ev = SuccessEvaluation(sbar=sbar, noise=params.noise)
     return EquilibriumOutcome(
         regime=policy.regime, cutoffs=(cutoff,), eligibility=(elig,),
         sbar=sbar, submission_volume=profile.volume(),
@@ -216,7 +211,7 @@ def solve_exclusion(params):
 
 def solve_multi_period(params, periods):
     """Steady state when rejection triggers a ban of `periods` periods."""
-    policy = RejectionExclusion(int(periods))
+    policy = RejectionExclusion(periods)
     bound = (1.0 - params.budget) / ((policy.periods + 1) * params.budget)
     met = params.win_value / params.reject_cost >= bound
     return _solve_common(params, policy, hypothesis_met=met)
@@ -259,8 +254,7 @@ def best_response(profile, params, policy):
 
     def residual(cutoff):
         x = lifetime_payoff(cutoff, ev, params, policy)
-        return float(ev.win_prob(cutoff)) - \
-            policy.indifference(cutoff, x, params)
+        return ev.win_prob(cutoff) - policy.indifference(cutoff, x, params)
 
     f0 = residual(start)
     if f0 > -1e-13:

@@ -7,6 +7,8 @@ from scipy.optimize.brentq, and lifetime payoffs from literal value
 iteration of their recursions.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
@@ -33,6 +35,22 @@ def quantile_bisect(cdf, p, lo, hi, tol=1e-13):
         mid = 0.5 * (lo + hi)
         if cdf(mid) - p <= 0:
             lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect_steps(residual, lo, hi, flo, tol):
+    """The package's bisection one step per call: ceil(log2(width / tol))
+    steps on a sign change of `residual` (a float function) whose value at
+    `lo` is `flo`, returning the midpoint of the last bracket.  The
+    reference the tree walk of `distributions._bisect_root` must match."""
+    steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fmid = residual(mid)
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
         else:
             hi = mid
     return 0.5 * (lo + hi)

@@ -294,7 +294,7 @@ def test_criterion_10_dominance_suite(model_v50, v50_solved):
         steady_state_profile(model_v50, bench.cutoff, NoExclusion()), model_v50)
     h1 = winner_density(
         steady_state_profile(model_v50, excl.cutoff, RejectionExclusion(1)), model_v50)
-    report = compare_winners(h1, h0, model_v50)
+    report = compare_winners(h1, h0)
     diff = h1.values - h0.values
     inside = (h1.grid >= excl.cutoff) & (h1.grid <= (report.qbar or -INF))
     pattern_ok = report.verdict == "single_crossing" and \
@@ -311,7 +311,7 @@ def test_criterion_10_dominance_suite(model_v50, v50_solved):
     others.append(winner_density(
         steady_state_profile(model_v50, sig.cutoff, SignalExclusion(INF)), model_v50))
     fb_dominates = all(
-        compare_winners(fb, h, model_v50).verdict == "first_order_dominates"
+        compare_winners(fb, h).verdict == "first_order_dominates"
         for h in others)
     _report(10, "funding shifts to the middle; first best dominates all", [
         ("single crossing above the exclusion cutoff",

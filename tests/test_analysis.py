@@ -55,7 +55,7 @@ def test_single_crossing_between_exclusion_and_benchmark(model_v50,
                                                          v50_exclusion,
                                                          v50_densities):
     h0, h1 = v50_densities
-    report = compare_winners(h1, h0, model_v50)
+    report = compare_winners(h1, h0)
     assert report.verdict == "single_crossing"
     assert report.qbar > v50_exclusion.cutoff
     assert abs(report.qbar - V50_QBAR) < 1e-6
@@ -69,7 +69,7 @@ def test_single_crossing_between_exclusion_and_benchmark(model_v50,
 
 def test_identical_densities_are_incomparable(model_v50, v50_densities):
     _, h1 = v50_densities
-    report = compare_winners(h1, h1, model_v50)
+    report = compare_winners(h1, h1)
     assert report.verdict == "incomparable"
     assert np.max(np.abs(report.cdf_diff)) <= 1e-9  # dominance both ways
 
@@ -77,9 +77,9 @@ def test_identical_densities_are_incomparable(model_v50, v50_densities):
 def test_first_best_dominates_equilibria(model_v50, v50_densities):
     h0, h1 = v50_densities
     fb = first_best(model_v50)["winner_density"]
-    assert compare_winners(fb, h0, model_v50).verdict == \
+    assert compare_winners(fb, h0).verdict == \
         "first_order_dominates"
-    assert compare_winners(fb, h1, model_v50).verdict == \
+    assert compare_winners(fb, h1).verdict == \
         "first_order_dominates"
 
 
@@ -95,7 +95,7 @@ def test_benchmark_dominates_when_exclusion_backfires():
         steady_state_profile(p, banned.cutoff, SignalExclusion(INF)), p)
     h0 = winner_density(
         steady_state_profile(p, base.cutoff, NoExclusion()), p)
-    assert compare_winners(h, h0, p).verdict == "dominated_by"
+    assert compare_winners(h, h0).verdict == "dominated_by"
 
 
 def test_verdict_invariant_to_grid_refinement(model_v50, v50_benchmark,
@@ -109,7 +109,7 @@ def test_verdict_invariant_to_grid_refinement(model_v50, v50_benchmark,
             steady_state_profile(model_v50, v50_exclusion.cutoff,
                                  RejectionExclusion(1)), model_v50,
             grid_size)
-        report = compare_winners(h1, h0, model_v50)
+        report = compare_winners(h1, h0)
         assert report.verdict == "single_crossing"
         qbars.append(report.qbar)
     assert abs(qbars[0] - qbars[1]) < 1e-8
@@ -161,6 +161,14 @@ def test_sweep_records_failures_inline(model_v50):
     assert entries[0].error is None
     assert entries[1].outcome is None
     assert "budget" in entries[1].error
+
+
+def test_fractional_ban_length_is_an_inline_error(model_v20):
+    # t = 2.5 must not solve (and label) the two-period ban
+    entries = sweep(model_v20, "t", [2.0, 2.5])
+    assert entries[0].outcome.regime == "multi_period(t=2)"
+    assert entries[1].outcome is None
+    assert "ban length" in entries[1].error
 
 
 def test_sweep_propagates_programming_errors(model_v50, monkeypatch):

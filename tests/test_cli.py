@@ -267,6 +267,37 @@ def test_sweep_command(tmp_path):
     assert all(float(r["residual"]) < 1e-8 for r in rows)
 
 
+def test_two_type_sweep_solves_the_two_type_model(tmp_path, capsys):
+    # a model-scalar axis solves every value with the configured two-type
+    # solver: the V = 50 row is the solve row plus its axis value
+    config = str(CONFIGS / "two_type.ini")
+    solved, swept = tmp_path / "solve.csv", tmp_path / "sweep.csv"
+    assert main(["solve", "--config", config, "--out", str(solved)]) == 0
+    assert main(["sweep", "--config", config, "--set", "sweep.axis=V",
+                 "--set", "sweep.values=50", "--out", str(swept)]) == 0
+    row = _read_rows(swept)[0]
+    assert row.pop("axis_value") == "50"
+    assert row == _read_rows(solved)[0]
+    # the two-type solver has one-period rejection bans only
+    for axis, value in (("t", "2"), ("sbar_ban", "0")):
+        assert main(["sweep", "--config", config,
+                     "--set", f"sweep.axis={axis}",
+                     "--set", f"sweep.values={value}",
+                     "--out", str(tmp_path / "bad.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+
+
+def test_fractional_ban_length_sweep_fails_inline(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(CONFIGS / "ban_length.ini"),
+                 "--set", "sweep.values=2, 2.5", "--out", str(out)]) == 1
+    rows = _read_rows(out)
+    assert rows[0]["regime"] == "multi_period(t=2)"
+    assert rows[1]["regime"].startswith("error: ban length")
+    assert rows[1]["axis_value"] == "2.5"
+
+
 def test_programming_errors_propagate(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken solver")

@@ -48,6 +48,18 @@ def test_model_rejects_non_normal_laws():
     assert again.quality.mean == typed.quality.mean
 
 
+def test_profile_rejects_non_normal_bases():
+    # a profile's masses are normal orthants: a non-normal base fails where
+    # the profile is built, not deep inside the clearing solve
+    with pytest.raises(TypeError):
+        truncated_profile(_NotNormal(), 0.2)
+    with pytest.raises(TypeError):
+        SubmissionProfile((ProfileComponent(Normal(0.0, 1.0), 0.1),
+                           ProfileComponent(_NotNormal(), 0.2)))
+    mixed = Mixture([(0.5, Normal(0.5, 1.0)), (0.5, Normal(0.0, 1.0))])
+    assert truncated_profile(mixed, 0.2).volume() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # market clearing
 

@@ -216,9 +216,9 @@ def test_root_bisection_stops_after_its_step_count():
     # bisection, and a step residual is never exactly zero
     calls = []
 
-    def step(q):
-        calls.append(q)
-        return -1.0 if q < 1e6 + 0.3 else 1.0
+    def step(qs):
+        calls.append(qs)
+        return np.where(qs < 1e6 + 0.3, -1.0, 1.0)
 
     root = distributions._bisect_root(step, 1e6, 1e6 + 1.0, -1.0, tol=1e-12)
     assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12))
@@ -228,16 +228,17 @@ def test_root_bisection_stops_after_its_step_count():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-1e6, 1e6), st.floats(1e-12, 1e3), st.floats(0.0, 1.0),
        st.floats(-15.0, 1.0), st.sampled_from(["step", "smooth"]),
-       st.sampled_from([1.0, -1.0]), st.integers(2, 9))
+       st.sampled_from([1.0, -1.0]))
 # near 1e6 one float spacing exceeds the tolerance: midpoints repeat
-@example(1e6, 1.0, 0.3, -12.0, "step", 1.0, 6)
+@example(1e6, 1.0, 0.3, -12.0, "step", 1.0)
 def test_tree_bisection_takes_the_single_steps(lo, width, at, log_tol, kind,
-                                               sign, levels):
+                                               sign):
     # the tree walk evaluates the same midpoints in batches: it must return
     # the float that single steps return, in ceil(steps / levels) calls
     hi = lo + width
     root = lo + at * width
     tol = width * 10.0 ** log_tol
+    levels = distributions.TREE_LEVELS
 
     def scalar(q):
         if kind == "step":
@@ -251,8 +252,8 @@ def test_tree_bisection_takes_the_single_steps(lo, width, at, log_tol, kind,
         return np.array([scalar(q) for q in qs])
 
     flo = scalar(lo)
-    single = distributions._bisect_root(scalar, lo, hi, flo, tol)
-    tree = distributions._bisect_root(batched, lo, hi, flo, tol, levels)
+    single = oracles.bisect_steps(scalar, lo, hi, flo, tol)
+    tree = distributions._bisect_root(batched, lo, hi, flo, tol)
     assert tree == single
     steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
     assert len(batches) == math.ceil(steps / levels)
@@ -277,23 +278,40 @@ def test_exclusion_solve_makes_at_most_seven_residual_calls(model_v50,
     assert len(sizes) <= 7
 
 
-def test_exact_zero_on_the_scan_grid_gives_one_root(model_v50, monkeypatch):
-    # a residual that is exactly zero at a grid point closes one bracket and
-    # must not open a second one, whose bisection would start from the zero
-    # and drift to the next grid point
-    qstar = model_v50.first_best_cutoff
-    grid = np.linspace(model_v50.quality.quantile(equilibria._GRID_FLOOR_P),
+def _scan_with_zero_at_grid_point(params, monkeypatch, shape):
+    """Scan roots of the residual shape(zero - cutoff), zero being the 701st
+    point of the scan grid."""
+    qstar = params.first_best_cutoff
+    grid = np.linspace(params.quality.quantile(equilibria._GRID_FLOOR_P),
                        qstar - 1e-9 * (1.0 + abs(qstar)),
                        equilibria.GRID_POINTS)
     zero = grid[700]
 
-    def linear(params, policy, cutoffs):
-        return (zero - np.atleast_1d(np.asarray(cutoffs, dtype=float)),)
+    def residual(params, policy, cutoffs):
+        return (shape(zero - np.atleast_1d(np.asarray(cutoffs, dtype=float))),)
 
-    monkeypatch.setattr(equilibria, "_batch_residuals", linear)
-    roots = equilibria._scan_roots(model_v50, RejectionExclusion(1))
+    monkeypatch.setattr(equilibria, "_batch_residuals", residual)
+    return equilibria._scan_roots(params, RejectionExclusion(1)), zero
+
+
+def test_exact_zero_on_the_scan_grid_gives_one_root(model_v50, monkeypatch):
+    # a residual that is exactly zero at a grid point closes one bracket and
+    # must not open a second one, whose bisection would start from the zero
+    # and drift to the next grid point
+    roots, zero = _scan_with_zero_at_grid_point(model_v50, monkeypatch,
+                                                lambda x: x)
     assert len(roots) == 1
     assert abs(roots[0] - zero) < 1e-10
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+def test_a_residual_touching_zero_on_the_scan_grid_gives_one_root(
+        model_v50, monkeypatch, side):
+    # touching zero without crossing: from above no bracket may open on
+    # either side of the zero, and from below the zero must still count
+    roots, zero = _scan_with_zero_at_grid_point(
+        model_v50, monkeypatch, lambda x: side * np.abs(x))
+    assert roots == [zero]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +419,20 @@ def test_type_dominance_rule(hi, lo, dominates):
     assert equilibria._dominates(hi, lo) is dominates
     qs = np.linspace(-30.0, 30.0, 6001)
     assert bool(np.all(hi.cdf(qs) <= lo.cdf(qs))) is dominates
+
+
+def test_ban_lengths_are_positive_integers(model_v20):
+    # an integral float is the integer ban; a fractional one is not
+    # truncated to a shorter ban but refused
+    policy = RejectionExclusion(2.0)
+    assert type(policy.periods) is int and policy == RejectionExclusion(2)
+    assert policy.regime == "multi_period(t=2)"
+    for bad in (2.5, 0, -1, INF, math.nan):
+        with pytest.raises(ValueError):
+            RejectionExclusion(bad)
+    for bad in (2.5, 0):
+        with pytest.raises(ValueError):
+            solve_multi_period(model_v20, bad)
 
 
 def test_two_type_needs_two_types(model_v50):

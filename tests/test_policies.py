@@ -1,20 +1,24 @@
 """Property tests of the exclusion-policy layer over the valid parameter
 box: V/C over six decades, k and delta in (0, 1), var_s/var_q from 1e-4 to
 1e2, ban lengths up to 1e4 and signal bars across +-inf.  No full solves:
-each example evaluates the residual on one grid or one clearing solve."""
+each example evaluates the residual on one grid, one clearing solve or the
+bisections of one best response, quantile or winner comparison."""
 
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from contest_eq import (NoExclusion, Normal, RejectionExclusion,
-                        SignalExclusion, TypeMix, ban_mass, evaluate_success,
-                        lifetime_payoff, normal_model,
-                        steady_state_eligibility, truncated_profile)
-from contest_eq import core
-from contest_eq.equilibria import _batch_residuals
+import oracles
+from contest_eq import (Mixture, NoExclusion, Normal, RejectionExclusion,
+                        SignalExclusion, TypeMix, ban_mass, best_response,
+                        compare_winners, evaluate_success, lifetime_payoff,
+                        normal_model, steady_state_eligibility,
+                        truncated_profile, winner_density)
+from contest_eq import analysis, core, distributions, equilibria
+from contest_eq.equilibria import NoRoot, _batch_residuals
 
 INF = math.inf
 unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
@@ -129,3 +133,75 @@ def test_batch_rows_equal_single_cutoff_calls(params, policy, at):
         single = _batch_residuals(params, policy, float(q))
         for rows, row in zip(batch, single):
             assert rows[i:i + 1].tobytes() == row.tobytes()
+
+
+@contextlib.contextmanager
+def _checked_tree_calls(module):
+    """Route `module`'s bisections through a check of every residual call
+    the tree walk makes: each entry of an array call must equal a one-point
+    call at its point bit for bit, and the root must be the one-step
+    bisection's.  Yields the list of roots found."""
+    tree_walk = distributions._bisect_root
+    roots = []
+
+    def checked_bisect(residual, lo, hi, flo, tol):
+        def checked(qs):
+            batch = np.asarray(residual(qs), dtype=float)
+            singles = np.array([residual(float(q)) for q in qs], dtype=float)
+            assert batch.tobytes() == singles.tobytes()
+            return batch
+
+        root = tree_walk(checked, lo, hi, flo, tol)
+        assert root == oracles.bisect_steps(residual, lo, hi, flo, tol)
+        roots.append(root)
+        return root
+
+    with mock.patch.object(module, "_bisect_root", checked_bisect):
+        yield roots
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies, unit, unit)
+def test_best_response_residual_rows_equal_single_calls(params, policy, u,
+                                                        e):
+    # an over-subscribed profile: the share submitting exceeds the budget
+    k = params.budget
+    elig = k + (1.0 - k) * e
+    cutoff = params.quality.quantile(u * (1.0 - k / elig))
+    profile = truncated_profile(params.quality, cutoff, elig)
+    assume(profile.volume() > k + 1e-9)
+    with _checked_tree_calls(equilibria) as roots:
+        try:
+            best_response(profile, params, policy)
+        except NoRoot:
+            pass
+    assume(roots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(-3.0, 3.0),
+                          st.floats(0.1, 10.0)), min_size=1, max_size=3),
+       st.floats(1e-9, 1.0 - 1e-9))
+def test_mixture_quantile_residual_rows_equal_single_calls(parts, p):
+    total = sum(w for w, _, _ in parts)
+    mix = Mixture([(w / total, Normal(m, v)) for w, m, v in parts])
+    with _checked_tree_calls(distributions) as roots:
+        q = mix.quantile(p)
+    assert roots == [q]
+
+
+@settings(max_examples=30, deadline=None)
+@given(models(), unit, unit, st.floats(0.3, 0.95))
+def test_winner_difference_rows_equal_single_calls(params, u0, u1, e):
+    # free entry at one cutoff against part of the population at a higher
+    # one, both over-subscribed: the winner densities usually cross once
+    k, f = params.budget, params.quality
+    elig = k + (1.0 - k) * e
+    c0 = f.quantile(u0 * (1.0 - k / elig))
+    c1 = f.quantile(f.cdf(c0) + u1 * (1.0 - k / elig - f.cdf(c0)))
+    assume(c1 > c0)
+    h0 = winner_density(truncated_profile(f, c0), params, 200)
+    h = winner_density(truncated_profile(f, c1, elig), params, 200)
+    with _checked_tree_calls(analysis) as roots:
+        compare_winners(h, h0)
+    assume(roots)
