@@ -11,8 +11,8 @@ from .core import (ALWAYS_SUBMIT, NEVER_SUBMIT, BracketFailure, ModelParams,
 from .equilibria import (EquilibriumOutcome, NoConvergence, NoRoot,
                          best_response, equilibrium_curves, solve_benchmark,
                          solve_exclusion, solve_multi_period,
-                         solve_signal_cutoff, solve_two_type,
-                         steady_state_eligibility, steady_state_profile)
+                         solve_signal_cutoff, solve_two_type, solve_typed,
+                         steady_state_profile)
 from .analysis import (DominanceReport, SweepEntry, WinnerDensity,
                        compare_winners, first_best, sweep, winner_density)
 from .simulation import (SimConfig, SimResult, empirical_best_response,

@@ -15,7 +15,7 @@ import numpy as np
 from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
                    _upper_mass, evaluate_success, truncated_profile)
 from .distributions import _bisect_root
-from .equilibria import NoConvergence, NoRoot, solve_benchmark
+from .equilibria import NoConvergence, NoRoot, solve_benchmark, solve_typed
 
 # what a sweep records inline; anything else is a programming error
 _SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, ValueError)
@@ -172,9 +172,10 @@ def sweep(params, axis, values, regime=None):
     axis is one of "V", "C", "k", "delta" (model scalars, each solved by
     `regime.solve(params)`, a policy object or anything else with that
     method, free entry by default), "t" (ban length, rejection-exclusion
-    regime) or "sbar_ban" (signal regime).  Solver failures and invalid
-    values, a fractional ban length among them, are recorded inline instead
-    of aborting the sweep.
+    regime) or "sbar_ban" (signal regime).  The "t" and "sbar_ban" axes
+    solve the typed steady state when `params` has a type block.  Solver
+    failures and invalid values, a fractional ban length among them, are
+    recorded inline instead of aborting the sweep.
     """
     field = {"V": "win_value", "C": "reject_cost", "k": "budget",
              "delta": "discount"}.get(axis)
@@ -187,10 +188,11 @@ def sweep(params, axis, values, regime=None):
                 p = dataclasses.replace(params, **{field: float(v)})
                 out = solve_benchmark(p) if regime is None \
                     else regime.solve(p)
-            elif axis == "t":
-                out = RejectionExclusion(v).solve(params)
             else:
-                out = SignalExclusion(float(v)).solve(params)
+                policy = RejectionExclusion(v) if axis == "t" \
+                    else SignalExclusion(float(v))
+                out = policy.solve(params) if params.types is None \
+                    else solve_typed(params, policy)
             entries.append(SweepEntry(value=float(v), outcome=out))
         except _SOLVER_ERRORS as exc:
             entries.append(SweepEntry(value=float(v), error=str(exc)))

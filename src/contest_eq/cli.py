@@ -25,8 +25,7 @@ from .core import (ModelParams, NoExclusion, RejectionExclusion,
                    SignalExclusion, TypeMix, normal_model)
 from .distributions import Normal
 from .equilibria import (equilibrium_curves, solve_benchmark, solve_exclusion,
-                         solve_multi_period, solve_two_type,
-                         steady_state_profile)
+                         solve_multi_period, solve_two_type, solve_typed)
 from .simulation import SimConfig, run_simulation
 
 RESIDUAL_CONTRACT = 1e-8
@@ -71,12 +70,15 @@ class RunConfig:
     grid_size: int = 1000
 
     def solve(self, params=None):
-        """The configured regime's equilibrium, from its public solver, of
-        `params` (the configured model by default)."""
+        """The configured regime's equilibrium of `params` (the configured
+        model by default): the typed steady state when it has a type block,
+        else the policy's public solver."""
         params = self.params if params is None else params
+        if params.types is None:
+            return self.policy.solve(params)
         if self.regime == "two_type":
             return solve_two_type(params)
-        return self.policy.solve(params)
+        return solve_typed(params, self.policy)
 
 
 def _float(section, key, raw):
@@ -110,10 +112,10 @@ def parse_config(text, overrides=()):
             raise ParseError(f"override must look like section.key=value: "
                              f"{item!r}")
         dotted, value = item.split("=", 1)
-        section, key = dotted.split(".", 1)
+        section, key = (part.strip() for part in dotted.split(".", 1))
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())
 
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -162,7 +164,7 @@ def parse_config(text, overrides=()):
     sbar_ban = _float("policy", "sbar_ban", policy["sbar_ban"]) \
         if "sbar_ban" in policy else -math.inf
     try:
-        # two_type uses one-period rejection bans
+        # two_type is exclusion with a type block
         policies = {"benchmark": NoExclusion(),
                     "exclusion": RejectionExclusion(1),
                     "multi_period": RejectionExclusion(periods),
@@ -188,6 +190,10 @@ def parse_config(text, overrides=()):
         raise ValidationError("n_agents must be at least 1000")
     if not 0 <= cfg.burn_in < cfg.n_periods:
         raise ValidationError("burn_in must be smaller than n_periods")
+    if any(key in sim for key in (("cutoff",) if types
+                                  else ("cutoff_h", "cutoff_l"))):
+        raise ValidationError("[sim] takes cutoff_H and cutoff_L with a type "
+                              "block, cutoff without one")
     if "cutoff" in sim:
         cfg.cutoffs = (_float("sim", "cutoff", sim["cutoff"]),)
     if "cutoff_h" in sim or "cutoff_l" in sim:
@@ -254,7 +260,7 @@ def _cmd_solve(cfg):
     from .equilibria import _describe
     outcome = cfg.solve()
     rows = []
-    if cfg.regime == "two_type" or len(outcome.all_roots) == 1:
+    if len(outcome.all_roots) == 1:
         rows.append(_outcome_row(outcome))
     else:
         for root in outcome.all_roots:
@@ -269,9 +275,6 @@ def _cmd_solve(cfg):
 def _cmd_sweep(cfg):
     if cfg.sweep_axis is None or not cfg.sweep_values:
         raise ValidationError("sweep needs [sweep] axis and values")
-    if cfg.regime == "two_type" and cfg.sweep_axis in ("t", "sbar_ban"):
-        raise ValidationError(f"the two_type regime has no {cfg.sweep_axis} "
-                              "axis: it uses one-period rejection bans")
     entries = sweep(cfg.params, cfg.sweep_axis, cfg.sweep_values, cfg)
     rows, ok = [], True
     for e in entries:
@@ -325,15 +328,8 @@ def _cmd_simulate(cfg):
 def _cmd_compare(cfg):
     base = solve_benchmark(cfg.params)
     other = base if cfg.regime == "benchmark" else cfg.solve()
-    h0 = winner_density(
-        steady_state_profile(cfg.params, base.cutoff, NoExclusion()),
-        cfg.params, cfg.grid_size)
-    if cfg.regime == "two_type":
-        from .equilibria import _type_profile
-        profile = _type_profile(cfg.params, other.cutoffs, other.eligibility)
-    else:
-        profile = steady_state_profile(cfg.params, other.cutoff, cfg.policy)
-    h = winner_density(profile, cfg.params, cfg.grid_size)
+    h0 = winner_density(base.profile, cfg.params, cfg.grid_size)
+    h = winner_density(other.profile, cfg.params, cfg.grid_size)
     report = compare_winners(h, h0)
     _write_csv(cfg.output_path, ["q", "h_policy", "h_benchmark", "cdf_diff"],
                [[q, hv, h0v, d] for q, hv, h0v, d in
@@ -365,8 +361,7 @@ def _cmd_figures(cfg):
     outs = {1: exc, 5: solve_multi_period(params, 5),
             50: solve_multi_period(params, 50)}
     fb = first_best(params, cfg.grid_size)["winner_density"].density(dq)
-    prof0 = steady_state_profile(params, bench.cutoff, NoExclusion())
-    prof1 = steady_state_profile(params, exc.cutoff, RejectionExclusion(1))
+    prof0, prof1 = bench.profile, exc.profile
     sub0, sub1 = prof0.pdf(dq), prof1.pdf(dq)
     win0 = winner_density(prof0, params, cfg.grid_size).density(dq)
     win1 = winner_density(prof1, params, cfg.grid_size).density(dq)

@@ -358,7 +358,7 @@ def signal_cutoff(profile, params):
     Returns -inf when the volume of submissions does not exceed the budget
     (everything is funded).  Otherwise solves the clearing mass of all the
     profile's components until the bracket is narrower than 1e-14, smooth
-    enough for the two-type solver's finite-difference Jacobian.
+    enough for the typed solver's finite-difference Jacobian.
     """
     if profile.volume() <= params.budget + _BUDGET_EPS:
         return -math.inf
@@ -401,10 +401,10 @@ def ban_mass(cutoff, sbar_ban, base, noise):
 # Every formula that depends on the ban rule lives on the policy object: the
 # regime label and ban length, the regime's public solver, the per-period
 # mass of submitters banned by their review signal, steady-state
-# eligibility, the indifference level of the marginal win probability given
-# the lifetime payoff x of eligibility, the ban weight in the payoff's
-# denominator, and the simulator's ban trigger.  Every method takes scalars
-# or arrays over a cutoff grid.
+# eligibility and banned load, the indifference level of the marginal win
+# probability given the lifetime payoff x of eligibility, the ban weight in
+# the payoff's denominator, and the simulator's ban trigger.  Every method
+# takes scalars or arrays over a cutoff grid.
 
 
 @dataclass(frozen=True)
@@ -438,6 +438,10 @@ class RejectionExclusion:
     def eligibility(self, F, ban, budget):
         t = self.periods
         return np.minimum((1.0 + t * budget) / (1.0 + t * (1.0 - F)), 1.0)
+
+    def load(self, reject, ban):
+        """Banned mass per unit of eligible mass in steady state."""
+        return self.periods * reject
 
     def indifference(self, cutoff, x, params):
         d = params.discount
@@ -484,6 +488,9 @@ class SignalExclusion:
 
     def eligibility(self, F, ban, budget):
         return 1.0 / (1.0 + ban)
+
+    def load(self, reject, ban):
+        return ban
 
     def indifference(self, cutoff, x, params):
         c, v, d = params.reject_cost, params.win_value, params.discount

@@ -1,19 +1,20 @@
-"""Steady-state equilibrium solvers for the five policy regimes.
+"""Steady-state equilibrium solvers for the exclusion policies.
 
-Each regime reduces to a one-dimensional root problem in the entry cutoff:
+Each policy reduces to a one-dimensional root problem in the entry cutoff:
 the marginal quality must be indifferent between submitting and staying
 out, given the competition that the cutoff itself regenerates every period.
 Solvers scan a uniform grid for sign changes of the defining residual,
 bisect every bracket, report all roots, and return the smallest as the
-canonical outcome.  The heterogeneous population is one joint root problem
-in every type's cutoff and eligible share.
+canonical outcome.  A population of researcher types (a type block) is one
+joint root problem in every type's cutoff and eligible share under any
+policy (`solve_typed`), seeded by that policy's pooled steady state.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class NoRoot(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """The two-type root misses its residual contract."""
+    """The typed root misses its residual contract, or the pooled steady
+    state cannot seed it."""
 
     def __init__(self, message, best_residual=None):
         super().__init__(message)
@@ -48,10 +50,11 @@ class NoConvergence(RuntimeError):
 class EquilibriumOutcome:
     """A solved steady state with its self-verification data.
 
-    cutoffs/eligibility hold one entry per population type (two for the
-    heterogeneous regime).  all_roots lists every sign-change root found by
-    the scan, smallest first; the canonical outcome is the smallest.
-    residual re-evaluates the defining equation at the returned cutoff(s).
+    cutoffs/eligibility hold one entry per population type (one without a
+    type block).  all_roots lists every sign-change root found by the scan,
+    smallest first; the canonical outcome is the smallest.  residual
+    re-evaluates the defining equation at the returned cutoff(s), and
+    profile is the recurrent submission profile they induce.
     """
 
     regime: str
@@ -66,23 +69,20 @@ class EquilibriumOutcome:
     eligibility_residual: float = 0.0
     hypothesis_met: bool = True
     corner: bool = False
+    profile: SubmissionProfile | None = field(default=None, repr=False)
 
     @property
     def cutoff(self):
         return self.cutoffs[0]
 
 
-def steady_state_eligibility(params, cutoff, policy):
-    """Time-invariant eligible share consistent with a common cutoff."""
+def steady_state_profile(params, cutoff, policy):
+    """Recurrent submission profile induced by a common cutoff: the
+    time-invariant eligible share submits above it."""
     F = params.quality.cdf(cutoff)
     ban = policy.ban(F, lambda s: ban_mass(cutoff, s, params.quality,
                                            params.noise))
-    return float(policy.eligibility(F, ban, params.budget))
-
-
-def steady_state_profile(params, cutoff, policy):
-    """Recurrent submission profile induced by a common cutoff."""
-    elig = steady_state_eligibility(params, cutoff, policy)
+    elig = float(policy.eligibility(F, ban, params.budget))
     return truncated_profile(params.quality, cutoff, elig)
 
 
@@ -171,7 +171,7 @@ def _outcome(params, policy, cutoff, elig, sbar, **fields):
         sbar=sbar, submission_volume=profile.volume(),
         welfare=welfare(profile, params),
         payoff_x=(lifetime_payoff(cutoff, ev, params, policy),),
-        **fields)
+        profile=profile, **fields)
 
 
 def _solve_common(params, policy, hypothesis_met=True):
@@ -226,7 +226,8 @@ def solve_signal_cutoff(params, sbar_ban):
     everyone applies and wins; the outcome is returned with corner=True.
     """
     policy = SignalExclusion(float(sbar_ban))
-    elig = steady_state_eligibility(params, ALWAYS_SUBMIT, policy)
+    elig = steady_state_profile(params, ALWAYS_SUBMIT,
+                                policy).components[0].eligibility
     if params.budget >= elig:  # under-subscribed: everyone is funded
         return _outcome(params, policy, ALWAYS_SUBMIT, elig, -math.inf,
                         residual=0.0, all_roots=(ALWAYS_SUBMIT,), corner=True)
@@ -269,7 +270,7 @@ def best_response(profile, params, policy):
 
 
 # ---------------------------------------------------------------------------
-# heterogeneous population
+# researcher types
 
 
 def _type_profile(params, cutoffs, shares):
@@ -285,15 +286,17 @@ def _type_state(params, policy, cutoffs, shares):
     """(gaps, flows, profile, evaluation, payoffs) at candidate cutoffs and
     eligible population shares: per type, the marginal win probability less
     the indifference level, and the type share minus the eligible share and
-    the rejections among it (the net inflow into the eligible share)."""
+    the banned mass it carries (the net inflow into the eligible share)."""
     profile = _type_profile(params, cutoffs, shares)
     ev = evaluate_success(profile, params)
     gaps, flows, payoffs = [], [], []
     for t, q, a in zip(params.types, cutoffs, shares):
         x = lifetime_payoff(q, ev, params, policy, t.quality)
-        reject = 1.0 - t.quality.cdf(q) - win_mass(q, ev, t.quality)
+        F = t.quality.cdf(q)
+        ban = policy.ban(F, lambda s: ban_mass(q, s, t.quality, params.noise))
+        reject = 1.0 - F - win_mass(q, ev, t.quality)
         gaps.append(float(ev.win_prob(q)) - policy.indifference(q, x, params))
-        flows.append(t.share - a * reject - a)
+        flows.append(t.share - a * policy.load(reject, ban) - a)
         payoffs.append(x)
     return np.array(gaps), np.array(flows), profile, ev, payoffs
 
@@ -328,32 +331,45 @@ def _newton(fun, x):
     return x
 
 
-def solve_two_type(params):
-    """Steady state with one-period rejection bans and two researcher types.
+def solve_typed(params, policy):
+    """Steady state of the configured researcher types under `policy`.
 
     One root problem in every type's cutoff and eligible population share:
-    each type is indifferent at its cutoff and its eligible share balances
-    its inflow.  Newton's method solves it from the pooled exclusion steady
-    state.  The returned point is checked against both contracts
-    (indifference 1e-8, flow balance 1e-9) and a dominant type must use the
-    weakly higher cutoff; NoConvergence reports any miss.
+    each type is indifferent at its cutoff, and its eligible share balances
+    its inflow against the banned mass it carries (`policy.load`).  Newton's
+    method solves it from the policy's pooled steady state.  The point must
+    meet both contracts (indifference 1e-8, flow balance 1e-9), and a
+    dominant type must use the weakly higher cutoff; NoConvergence reports
+    any miss.  When the budget covers every eligible researcher even at full
+    entry, everyone applies and wins (corner=True); a pooled seed at that
+    corner for an interior typed problem raises NoConvergence.
     """
-    if not params.types or len(params.types) != 2:
-        raise ValueError("two-type solver needs exactly two configured types")
-    policy = RejectionExclusion(1)
-    pooled = solve_exclusion(params)
+    if not params.types:
+        raise ValueError("the typed solver needs a type block")
     n = len(params.types)
-    seed = [pooled.cutoff] * n + \
-        [t.share * pooled.eligibility[0] for t in params.types]
-    z = _newton(lambda x: np.concatenate(
-        _type_state(params, policy, x[:n], x[n:])[:2]), seed)
-    cutoffs, shares = tuple(map(float, z[:n])), tuple(map(float, z[n:]))
+    full = tuple(t.share / (1.0 + policy.ban(0.0, lambda s: ban_mass(
+        ALWAYS_SUBMIT, s, t.quality, params.noise))) for t in params.types)
+    corner = sum(full) <= params.budget
+    if corner:
+        cutoffs, shares = (ALWAYS_SUBMIT,) * n, full
+    else:
+        pooled = policy.solve(params)
+        if pooled.corner:
+            raise NoConvergence("the pooled seed is the always-submit "
+                                "corner, but the typed problem is interior")
+        seed = [pooled.cutoff] * n + \
+            [t.share * pooled.eligibility[0] for t in params.types]
+        z = _newton(lambda x: np.concatenate(
+            _type_state(params, policy, x[:n], x[n:])[:2]), seed)
+        cutoffs, shares = tuple(map(float, z[:n])), tuple(map(float, z[n:]))
     gaps, flows, profile, ev, payoffs = _type_state(params, policy, cutoffs,
                                                     shares)
-    residual, elig_resid = (float(np.max(np.abs(r))) for r in (gaps, flows))
+    # at the corner everyone strictly prefers to apply: no gap closes
+    residual = 0.0 if corner else float(np.max(np.abs(gaps)))
+    elig_resid = float(np.max(np.abs(flows)))
     if not (residual < 1e-8 and elig_resid < 1e-9):
         raise NoConvergence(
-            f"two-type root missed its contract (indifference {residual:.3e},"
+            f"typed root missed its contract (indifference {residual:.3e},"
             f" flow balance {elig_resid:.3e})",
             best_residual=max(residual, elig_resid))
     for (qa, ta), (qb, tb) in itertools.permutations(
@@ -363,17 +379,18 @@ def solve_two_type(params):
                                 best_residual=residual)
 
     return EquilibriumOutcome(
-        regime="two_type",
-        cutoffs=cutoffs,
-        eligibility=shares,
-        sbar=ev.sbar,
-        submission_volume=profile.volume(),
-        residual=residual,
-        all_roots=(cutoffs,),
-        welfare=welfare(profile, params),
-        payoff_x=tuple(payoffs),
-        eligibility_residual=elig_resid,
-    )
+        regime=policy.regime, cutoffs=cutoffs, eligibility=shares,
+        sbar=ev.sbar, submission_volume=profile.volume(), residual=residual,
+        all_roots=(cutoffs,), welfare=welfare(profile, params),
+        payoff_x=tuple(payoffs), eligibility_residual=elig_resid,
+        corner=corner, profile=profile)
+
+
+def solve_two_type(params):
+    """The typed steady state under one-period rejection bans, labelled
+    two_type."""
+    return replace(solve_typed(params, RejectionExclusion(1)),
+                   regime="two_type")
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,38 @@ def test_cli_set_overrides(tmp_path):
     assert abs(float(rows[0]["cutoff"]) - V50_Q1) < 1e-6
 
 
+def test_override_pads_are_stripped_before_the_section_lookup(tmp_path,
+                                                             capsys):
+    # " sim.seed=1" on a config without [sim] adds the section "sim", not
+    # " sim"; an unknown padded section is a config error, not a traceback
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(CONFIGS / "free_entry.ini"),
+                 "--set", " sim.seed=1", "--set", " sim .n_periods = 20",
+                 "--set", "sim.burn_in=5", "--set", "sim.n_agents=1000",
+                 "--out", str(out)]) == 0
+    assert len(_read_rows(out)) == 20
+    assert main(["solve", "--config", str(CONFIGS / "free_entry.ini"),
+                 "--set", " simm.seed=1", "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("config, cutoffs", [
+    ("free_entry.ini", ["sim.cutoff_H=1", "sim.cutoff_L=0"]),
+    ("two_type.ini", ["sim.cutoff=1"]),
+    ("two_type.ini", ["sim.cutoff=1", "sim.cutoff_H=1", "sim.cutoff_L=0"]),
+])
+def test_sim_cutoffs_must_match_the_type_block(config, cutoffs, capsys):
+    argv = ["simulate", "--config", str(CONFIGS / config),
+            "--set", "sim.seed=1"]
+    for item in cutoffs:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert "cutoff" in record["message"]
+
+
 def test_cli_reports_machine_readable_errors(tmp_path, capsys):
     doc_path = tmp_path / "cfg.ini"
     doc_path.write_text(V30_DOC.format(path=tmp_path / "o.csv"))
@@ -267,7 +299,7 @@ def test_sweep_command(tmp_path):
     assert all(float(r["residual"]) < 1e-8 for r in rows)
 
 
-def test_two_type_sweep_solves_the_two_type_model(tmp_path, capsys):
+def test_two_type_sweep_solves_the_two_type_model(tmp_path):
     # a model-scalar axis solves every value with the configured two-type
     # solver: the V = 50 row is the solve row plus its axis value
     config = str(CONFIGS / "two_type.ini")
@@ -278,14 +310,47 @@ def test_two_type_sweep_solves_the_two_type_model(tmp_path, capsys):
     row = _read_rows(swept)[0]
     assert row.pop("axis_value") == "50"
     assert row == _read_rows(solved)[0]
-    # the two-type solver has one-period rejection bans only
-    for axis, value in (("t", "2"), ("sbar_ban", "0")):
+    # the ban length and the signal bar solve the typed model too: each row
+    # is the solve row of that policy
+    for axis, regime in (("t", "multi_period"), ("sbar_ban", "signal_cutoff")):
+        policy = ["--set", f"policy.regime={regime}",
+                  "--set", f"policy.{axis}=2"]
+        assert main(["solve", "--config", config, "--out", str(solved)]
+                    + policy) == 0
         assert main(["sweep", "--config", config,
-                     "--set", f"sweep.axis={axis}",
-                     "--set", f"sweep.values={value}",
-                     "--out", str(tmp_path / "bad.csv")]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ValidationError"
+                     "--set", f"sweep.axis={axis}", "--set", "sweep.values=2",
+                     "--out", str(swept)]) == 0
+        row = _read_rows(swept)[0]
+        assert row.pop("axis_value") == "2"
+        assert row == _read_rows(solved)[0]
+        assert row["cutoff_2"] != ""
+
+
+@pytest.mark.parametrize("policy", [
+    ["policy.regime=benchmark"], ["policy.regime=exclusion"],
+    ["policy.regime=multi_period", "policy.t=5"],
+    ["policy.regime=signal_cutoff", "policy.sbar_ban=0"],
+    ["policy.regime=two_type"],
+], ids=lambda policy: policy[0].split("=")[1])
+def test_type_block_solves_and_simulates_under_every_regime(tmp_path, policy):
+    # a type block makes every regime typed: one cutoff per type in the
+    # *_2 columns, and a simulation that keeps each type's eligible share
+    # near its analytic value
+    argv = ["--config", str(CONFIGS / "two_type.ini")]
+    for item in policy + ["sim.seed=4", "sim.n_agents=20000",
+                          "sim.n_periods=250", "sim.burn_in=50"]:
+        argv += ["--set", item]
+    solved, simulated = tmp_path / "solve.csv", tmp_path / "sim.csv"
+    assert main(["solve", "--out", str(solved)] + argv) == 0
+    row = _read_rows(solved)[0]
+    assert row["regime"].startswith(policy[0].split("=")[1])
+    assert float(row["cutoff"]) >= float(row["cutoff_2"])
+    assert main(["simulate", "--out", str(simulated)] + argv) == 0
+    summary = _read_rows(tmp_path / "sim_summary.csv")[0]
+    for i, suffix in ((1, ""), (2, "_2")):
+        assert summary[f"analytic_cutoff_{i}"] == row[f"cutoff{suffix}"]
+        assert abs(float(summary[f"mean_eligibility_{i}"])
+                   - float(row[f"eligibility{suffix}"])) < 0.01
 
 
 def test_fractional_ban_length_sweep_fails_inline(tmp_path):

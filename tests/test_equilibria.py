@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contest_eq import (ALWAYS_SUBMIT, NoConvergence, Normal,
+from contest_eq import (ALWAYS_SUBMIT, NoConvergence, NoRoot, Normal,
                         NoExclusion, RejectionExclusion, SignalExclusion,
                         TypeMix, ban_mass, best_response, equilibrium_curves,
                         evaluate_success, normal_model, solve_benchmark,
                         solve_exclusion, solve_multi_period,
-                        solve_signal_cutoff, solve_two_type,
+                        solve_signal_cutoff, solve_two_type, solve_typed,
                         steady_state_profile, truncated_profile, win_mass)
 from contest_eq import distributions, equilibria
 
@@ -19,6 +19,11 @@ from reference import (EXCLUSION_V400_ROOT, V30_Q0, V50_Q0, V50_Q1,
                        TWO_TYPE_AL, TWO_TYPE_QH, TWO_TYPE_QL)
 
 INF = math.inf
+
+EVERY_POLICY = {"free_entry": NoExclusion(), "t1": RejectionExclusion(1),
+                "t5": RejectionExclusion(5), "t50": RejectionExclusion(50),
+                "signal_0": SignalExclusion(0.0),
+                "signal_inf": SignalExclusion(INF)}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def test_signal_ban_corner_when_budget_covers_everyone():
 
 
 # ---------------------------------------------------------------------------
-# two researcher types
+# researcher types
 
 
 @pytest.fixture(scope="module")
@@ -393,14 +398,16 @@ def test_two_type_shares_solve_flow_balance(two_type_params, two_type_outcome):
         assert abs(inflow - a) < 1e-9
 
 
-def test_two_type_identical_types_collapse_to_pooled():
+@pytest.mark.parametrize("policy", EVERY_POLICY.values(), ids=EVERY_POLICY)
+def test_two_type_identical_types_collapse_to_pooled(policy):
     types = (TypeMix(0.5, Normal(0.0, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
-    out = solve_two_type(p)
-    pooled = solve_exclusion(normal_model(0.0, 2.0, 5.0, reject_cost=1.0,
-                                          win_value=50.0, budget=0.1,
-                                          discount=0.97))
+    out = solve_typed(p, policy)
+    pooled = policy.solve(normal_model(0.0, 2.0, 5.0, reject_cost=1.0,
+                                       win_value=50.0, budget=0.1,
+                                       discount=0.97))
+    assert out.regime == pooled.regime
     assert abs(out.cutoffs[0] - pooled.cutoff) < 1e-8
     assert abs(out.cutoffs[1] - pooled.cutoff) < 1e-8
     assert abs(sum(out.eligibility) - pooled.eligibility[0]) < 1e-8
@@ -435,9 +442,60 @@ def test_ban_lengths_are_positive_integers(model_v20):
             solve_multi_period(model_v20, bad)
 
 
-def test_two_type_needs_two_types(model_v50):
-    with pytest.raises(ValueError):
+def test_typed_solver_needs_a_type_block_of_any_size(model_v50):
+    # three types solve under each policy, strongest first; a model without
+    # a type block has nothing to solve
+    types = (TypeMix(0.3, Normal(1.0, 2.0)), TypeMix(0.3, Normal(0.5, 2.0)),
+             TypeMix(0.4, Normal(0.0, 2.0)))
+    p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
+                     budget=0.1, discount=0.97, types=types)
+    for policy in (RejectionExclusion(1), RejectionExclusion(5),
+                   SignalExclusion(0.0)):
+        out = solve_typed(p, policy)
+        assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
+        assert out.cutoffs[0] > out.cutoffs[1] > out.cutoffs[2]
+        ev = evaluate_success(out.profile, p)
+        funded = sum(a * win_mass(q, ev, t.quality)
+                     for t, q, a in zip(types, out.cutoffs, out.eligibility))
+        assert abs(funded - p.budget) < 1e-9
+    with pytest.raises(ValueError, match="type block"):
+        solve_typed(model_v50, RejectionExclusion(1))
+    with pytest.raises(ValueError, match="type block"):
         solve_two_type(model_v50)
+
+
+def _corner_model(mean_hi, budget):
+    types = (TypeMix(0.5, Normal(mean_hi, 1.0)),
+             TypeMix(0.5, Normal(0.0, 1.0)))
+    return normal_model(var_signal=1.0, reject_cost=1.0, win_value=50.0,
+                        budget=budget, discount=0.97, types=types)
+
+
+def test_typed_signal_ban_corner_when_budget_covers_everyone():
+    # a ban on every submission halves each type's eligible share: typed
+    # mass 0.5 <= k = 0.6, so everyone applies and wins
+    p = _corner_model(0.5, 0.6)
+    out = solve_typed(p, SignalExclusion(INF))
+    assert out.corner and out.cutoffs == (ALWAYS_SUBMIT, ALWAYS_SUBMIT)
+    assert out.sbar == -INF and out.residual == 0.0
+    assert out.eligibility == (0.25, 0.25)
+    assert out.eligibility_residual < 1e-15
+    assert out.submission_volume == 0.5
+    assert out.payoff_x[0] == out.payoff_x[1] == \
+        solve_signal_cutoff(p, INF).payoff_x[0]
+
+
+def test_typed_problem_off_a_pooled_corner_raises():
+    # the pooled mixture bans half its mass below s = 4 (eligible 2/3 <=
+    # k = 0.7), but the strong type is almost never banned: typed mass
+    # 0.4988 + 0.2503 > k is interior, and the corner seeds no Newton start
+    p = _corner_model(8.0, 0.7)
+    assert solve_signal_cutoff(p, 4.0).corner
+    full = [t.share / (1.0 + ban_mass(ALWAYS_SUBMIT, 4.0, t.quality, p.noise))
+            for t in p.types]
+    assert abs(sum(full) - 0.749) < 1e-3
+    with pytest.raises(NoConvergence, match="pooled seed"):
+        solve_typed(p, SignalExclusion(4.0))
 
 
 def test_two_type_random_draw_meets_contracts():
@@ -453,6 +511,46 @@ def test_two_type_random_draw_meets_contracts():
     assert out.residual < 1e-8
     assert out.eligibility_residual < 1e-9
     assert out.cutoffs[0] > out.cutoffs[1]
+
+
+@st.composite
+def typed_models(draw):
+    """Two types of one quality variance, the first stronger by a mean gap
+    of up to 2 sd, over the valid box of `tests/test_policies.py`: V/C over
+    six decades, k and delta in (0, 1), var_s/var_q from 1e-4 to 1e2."""
+    unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
+    c = 10.0 ** draw(st.floats(-0.5, 0.5))
+    var_q = 10.0 ** draw(st.floats(-0.5, 0.5))
+    mean = draw(st.floats(-1.0, 1.0))
+    gap = draw(st.floats(0.0, 2.0)) * math.sqrt(var_q)
+    share = draw(st.floats(0.1, 0.9))
+    types = (TypeMix(share, Normal(mean + gap, var_q)),
+             TypeMix(1.0 - share, Normal(mean, var_q)))
+    return normal_model(var_signal=var_q * 10.0 ** draw(st.floats(-4.0, 2.0)),
+                        reject_cost=c,
+                        win_value=c * 10.0 ** draw(st.floats(-1.0, 5.0)),
+                        budget=draw(unit), discount=draw(unit), types=types)
+
+
+@settings(max_examples=25, deadline=None)
+@given(typed_models(), st.one_of(
+    st.just(NoExclusion()),
+    st.integers(1, 10_000).map(RejectionExclusion),
+    st.one_of(st.just(-INF), st.just(INF),
+              st.floats(-5.0, 5.0)).map(SignalExclusion)))
+def test_dominant_type_uses_the_higher_cutoff(params, policy):
+    """Better-able agents self-select more under every policy.  A typed
+    contract miss is a loud failure the solver may report (it does for some
+    bans of a thousand periods or more); a dominance miss is a
+    counterexample.
+    Equal cutoffs tie within the solver's 1e-9."""
+    try:
+        out = solve_typed(params, policy)
+    except (NoRoot, NoConvergence) as exc:
+        assert "dominant" not in str(exc)
+        return
+    assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
+    assert out.cutoffs[0] >= out.cutoffs[1] - 1e-9
 
 
 def test_two_type_root_missing_its_contract_raises(two_type_params,
@@ -513,10 +611,7 @@ def test_best_response_signal_policy_reduces_to_free_entry(model_v50):
     assert abs(a - b) < 1e-10
 
 
-@pytest.mark.parametrize("policy", [
-    NoExclusion(), RejectionExclusion(1), RejectionExclusion(5),
-    RejectionExclusion(50), SignalExclusion(0.0), SignalExclusion(INF)],
-    ids=["free_entry", "t1", "t5", "t50", "signal_0", "signal_inf"])
+@pytest.mark.parametrize("policy", EVERY_POLICY.values(), ids=EVERY_POLICY)
 def test_equilibrium_is_a_best_response_to_itself(policy, model_v30,
                                                   model_v50, model_v20):
     # the steady-state residual is the best-response residual at the

@@ -15,7 +15,7 @@ import oracles
 from contest_eq import (Mixture, NoExclusion, Normal, RejectionExclusion,
                         SignalExclusion, TypeMix, ban_mass, best_response,
                         compare_winners, evaluate_success, lifetime_payoff,
-                        normal_model, steady_state_eligibility,
+                        normal_model, steady_state_profile,
                         truncated_profile, winner_density)
 from contest_eq import analysis, core, distributions, equilibria
 from contest_eq.equilibria import NoRoot, _batch_residuals
@@ -72,8 +72,9 @@ def test_rejection_eligibility_closed_form(params, t):
     assert np.allclose(elig, (1.0 + t * k) / (1.0 + t * (1.0 - F)),
                        rtol=1e-14, atol=0.0)
     assert np.all((elig > 0.0) & (elig <= 1.0))
-    scalar = steady_state_eligibility(params, float(grid[10]), policy)
-    assert 0.0 < scalar <= 1.0
+    scalar = steady_state_profile(params, float(grid[10]),
+                                  policy).components[0].eligibility
+    assert scalar == elig[10]
 
 
 @settings(max_examples=25, deadline=None)
