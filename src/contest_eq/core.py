@@ -82,9 +82,9 @@ class ModelParams:
             raise ValueError("win_value and reject_cost must be positive "
                              "and finite")
         if not 0.0 < self.budget < 1.0:
-            raise ValueError("budget must lie in (0, 1)")
+            raise ValueError("budget k must lie in (0, 1)")
         if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
+            raise ValueError("discount delta must lie in (0, 1)")
         _require_normal("noise", self.noise)
         if self.types is not None:
             types = tuple(self.types)

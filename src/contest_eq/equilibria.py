@@ -31,6 +31,8 @@ from .distributions import _bisect_root
 GRID_POINTS = 2000
 _GRID_FLOOR_P = 1e-6
 _ROOT_TOL = 1e-10
+# every returned steady state meets its equilibrium residual to this level
+_RESIDUAL_CONTRACT = 1e-8
 
 
 class NoRoot(RuntimeError):
@@ -38,8 +40,9 @@ class NoRoot(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """The typed root misses its residual contract, or the pooled steady
-    state cannot seed it."""
+    """A solved root misses its residual contract (pooled or typed), or the
+    pooled steady state cannot seed the typed root; best_residual is the
+    residual it reached."""
 
     def __init__(self, message, best_residual=None):
         super().__init__(message)
@@ -177,14 +180,19 @@ def _outcome(params, policy, cutoff, elig, sbar, **fields):
 def _solve_common(params, policy, hypothesis_met=True):
     """Scan and polish the roots, keep the interior ones, and describe the
     smallest from the same residual call (each of its entries equals a
-    single-cutoff call bit for bit)."""
+    single-cutoff call bit for bit); a smallest root that misses the
+    residual contract raises NoConvergence."""
     roots = _scan_roots(params, policy)
     resid, _, interior, sbar, elig = _batch_residuals(params, policy, roots)
     if not np.any(interior):
         raise NoRoot(f"no equilibrium cutoff found for {policy}")
     first = np.argmax(interior)
+    residual = float(abs(resid[first]))
+    if not residual < _RESIDUAL_CONTRACT:
+        raise NoConvergence(f"{policy.regime} root residual {residual:.3e}"
+                            " misses its contract", best_residual=residual)
     return _outcome(params, policy, roots[first], float(elig[first]),
-                    float(sbar[first]), residual=float(abs(resid[first])),
+                    float(sbar[first]), residual=residual,
                     all_roots=tuple(r for r, keep in zip(roots, interior)
                                     if keep),
                     hypothesis_met=hypothesis_met)
@@ -367,7 +375,7 @@ def solve_typed(params, policy):
     # at the corner everyone strictly prefers to apply: no gap closes
     residual = 0.0 if corner else float(np.max(np.abs(gaps)))
     elig_resid = float(np.max(np.abs(flows)))
-    if not (residual < 1e-8 and elig_resid < 1e-9):
+    if not (residual < _RESIDUAL_CONTRACT and elig_resid < 1e-9):
         raise NoConvergence(
             f"typed root missed its contract (indifference {residual:.3e},"
             f" flow balance {elig_resid:.3e})",

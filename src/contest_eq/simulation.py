@@ -17,6 +17,9 @@ import numpy as np
 
 from .core import RejectionExclusion
 
+# bins of the post-burn-in winner-quality histogram over the quality support
+HIST_BINS = 200
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -25,19 +28,20 @@ class SimConfig:
     cutoffs holds one entry per type (a single entry without types) and may
     be +-inf.  initial_eligibility seeds the starting eligible share(s) at an
     analytic steady state; by default everyone starts eligible and the
-    burn-in absorbs the transient.
+    burn-in absorbs the transient.  A run needs a seed in [0, 2**128).
     """
 
-    seed: int
+    seed: int | None
     policy: object = field(default_factory=lambda: RejectionExclusion(1))
     cutoffs: tuple[float, ...] = (0.0,)
     n_agents: int = 200_000
     n_periods: int = 1000
     burn_in: int = 200
     initial_eligibility: tuple[float, ...] | None = None
-    hist_bins: int = 200
 
     def __post_init__(self):
+        if self.seed is not None and not 0 <= self.seed < 2**128:
+            raise ValueError("seed must lie in [0, 2**128)")
         if self.n_agents < 1000:
             raise ValueError("need at least 1000 agents")
         if not 0 <= self.burn_in < self.n_periods:
@@ -94,6 +98,8 @@ def run_simulation(config, params):
     the policy bar) sit out the policy's ban length.  Deterministic given
     the seed.
     """
+    if config.seed is None:
+        raise ValueError("a simulation needs an explicit seed")
     n = config.n_agents
     budget_slots = int(math.floor(params.budget * n))
     t_ban = config.policy.ban_periods
@@ -117,9 +123,8 @@ def run_simulation(config, params):
                                                n_banned)).astype(int)]
                 ban_left[sel] = 1 + (np.arange(n_banned) % t_ban)
 
-    hist_edges = np.linspace(*params.quality.support_hint,
-                             config.hist_bins + 1)
-    hist_counts = np.zeros(config.hist_bins, dtype=np.int64)
+    hist_edges = np.linspace(*params.quality.support_hint, HIST_BINS + 1)
+    hist_counts = np.zeros(HIST_BINS, dtype=np.int64)
 
     elig_traj = np.zeros(config.n_periods)
     elig_by_type = np.zeros((config.n_periods, n_types))
@@ -203,6 +208,8 @@ def empirical_best_response(config, params, candidate_grid, result=None,
     `replications` agent lifetimes with common random numbers across
     candidates.  Returns the argmax candidate.
     """
+    if config.seed is None:
+        raise ValueError("a simulation needs an explicit seed")
     if result is None:
         result = run_simulation(config, params)
     thresholds = result.funding_thresholds[config.burn_in:]

@@ -15,8 +15,9 @@ from contest_eq.cli import (ParseError, ValidationError, main,
 
 from reference import V50_Q1, V20_BAN_ROOTS
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+SRC = ROOT / "src"
 
 V30_DOC = """
 [model]
@@ -102,6 +103,16 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("[model]\nbudget_volume = 0.1\n")
     with pytest.raises(ParseError, match="unknown section"):
         parse_config("[modle]\nk = 0.1\n")
+
+
+def test_readme_and_shipped_configs_parse():
+    # parse_config rejects unknown keys: a documented key must be a real one
+    readme = (ROOT / "README.md").read_text()
+    docs = [readme.split("```ini\n", 1)[1].split("```", 1)[0]]
+    docs += [path.read_text() for path in sorted(CONFIGS.glob("*.ini"))]
+    assert len(docs) == 5
+    for doc in docs:
+        parse_config(doc)
 
 
 def test_parse_config_rejects_bad_literals():
@@ -222,6 +233,31 @@ def test_simulate_requires_seed(tmp_path):
     cfg.command = "simulate"
     with pytest.raises(ValidationError, match="seed"):
         run_command(cfg)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_seed_outside_the_philox_keys_is_a_config_error(seed, capsys):
+    argv = ["simulate", "--config", str(CONFIGS / "one_period_bans.ini"),
+            "--set", f"sim.seed={seed}"]
+    with pytest.raises(ValidationError, match="seed"):
+        parse_config((CONFIGS / "one_period_bans.ini").read_text(), argv[-1:])
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+
+
+def test_contract_miss_is_a_solver_failure(tmp_path, monkeypatch, capsys):
+    # a root polished only to 1e-3 misses the 1e-8 residual contract: solve
+    # exits 1 with a record and no CSV, sweep records the miss in its row
+    monkeypatch.setattr(equilibria, "_ROOT_TOL", 1e-3)
+    config, out = str(CONFIGS / "free_entry.ini"), tmp_path / "o.csv"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NoConvergence"
+    assert not out.exists()
+    assert main(["sweep", "--config", config, "--set", "sweep.axis=V",
+                 "--set", "sweep.values=30", "--out", str(out)]) == 1
+    assert _read_rows(out)[0]["regime"].startswith("error: benchmark root")
 
 
 def test_simulate_tracks_analytic_eligibility(tmp_path):

@@ -553,6 +553,14 @@ def test_dominant_type_uses_the_higher_cutoff(params, policy):
     assert out.cutoffs[0] >= out.cutoffs[1] - 1e-9
 
 
+def test_pooled_root_missing_its_contract_raises(monkeypatch):
+    # a root polished only to 1e-3 misses the 1e-8 residual contract
+    monkeypatch.setattr(equilibria, "_ROOT_TOL", 1e-3)
+    with pytest.raises(NoConvergence) as info:
+        solve_benchmark(normal_model())
+    assert info.value.best_residual > 1e-8
+
+
 def test_two_type_root_missing_its_contract_raises(two_type_params,
                                                    monkeypatch):
     # a root finder that never leaves the pooled seed

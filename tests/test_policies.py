@@ -1,8 +1,9 @@
 """Property tests of the exclusion-policy layer over the valid parameter
 box: V/C over six decades, k and delta in (0, 1), var_s/var_q from 1e-4 to
-1e2, ban lengths up to 1e4 and signal bars across +-inf.  No full solves:
-each example evaluates the residual on one grid, one clearing solve or the
-bisections of one best response, quantile or winner comparison."""
+1e2, ban lengths up to 1e4 and signal bars across +-inf.  Each example
+evaluates the residual on one grid, one clearing solve or the bisections
+of one best response, quantile or winner comparison; only the contract
+property runs full pooled solves."""
 
 import contextlib
 import math
@@ -12,11 +13,12 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from contest_eq import (Mixture, NoExclusion, Normal, RejectionExclusion,
-                        SignalExclusion, TypeMix, ban_mass, best_response,
-                        compare_winners, evaluate_success, lifetime_payoff,
-                        normal_model, steady_state_profile,
-                        truncated_profile, winner_density)
+from contest_eq import (BracketFailure, Mixture, NoConvergence, NoExclusion,
+                        Normal, RejectionExclusion, SignalExclusion, TypeMix,
+                        ban_mass, best_response, compare_winners,
+                        evaluate_success, lifetime_payoff, normal_model,
+                        steady_state_profile, truncated_profile,
+                        winner_density)
 from contest_eq import analysis, core, distributions, equilibria
 from contest_eq.equilibria import NoRoot, _batch_residuals
 
@@ -75,6 +77,22 @@ def test_rejection_eligibility_closed_form(params, t):
     scalar = steady_state_profile(params, float(grid[10]),
                                   policy).components[0].eligibility
     assert scalar == elig[10]
+
+
+@settings(max_examples=25, deadline=None)
+@given(models(), policies)
+def test_pooled_solve_meets_its_contract_or_raises(params, policy):
+    """A pooled solve raises a typed solver failure or returns a root that
+    meets the 1e-8 residual contract and clears the market: away from the
+    always-submit corner its funded mass is the budget."""
+    try:
+        out = policy.solve(params)
+    except (NoRoot, NoConvergence, BracketFailure):
+        return
+    assert out.residual < 1e-8
+    if not out.corner:
+        funded = oracles.funded_mass(out.profile, out.sbar, params.noise)
+        assert abs(funded - params.budget) < 1e-8
 
 
 @settings(max_examples=25, deadline=None)

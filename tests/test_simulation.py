@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -173,3 +174,21 @@ def test_config_validation():
         SimConfig(seed=1, n_agents=10)
     with pytest.raises(ValueError):
         SimConfig(seed=1, n_periods=100, burn_in=100)
+
+
+def test_seed_must_be_a_philox_key():
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
+    assert SimConfig(seed=2**128 - 1).seed == 2**128 - 1
+
+
+def test_a_run_without_a_seed_raises(model_v50):
+    # no implicit entropy: a seedless config parses but never runs
+    cfg = SimConfig(seed=None, n_agents=1000, n_periods=20, burn_in=5)
+    with pytest.raises(ValueError, match="seed"):
+        run_simulation(cfg, model_v50)
+    res = run_simulation(dataclasses.replace(cfg, seed=1), model_v50)
+    with pytest.raises(ValueError, match="seed"):
+        empirical_best_response(cfg, model_v50, [0.0], result=res,
+                                replications=10)
