@@ -5,9 +5,13 @@ the marginal quality must be indifferent between submitting and staying
 out, given the competition that the cutoff itself regenerates every period.
 Solvers scan a uniform grid for sign changes of the defining residual,
 bisect every bracket, report all roots, and return the smallest as the
-canonical outcome.  A population of researcher types (a type block) is one
-joint root problem in every type's cutoff and eligible share under any
-policy (`solve_typed`), seeded by that policy's pooled steady state.
+canonical outcome.  The scan and the bisection read only the residual's
+sign, which one orthant per cutoff decides without solving market
+clearing; clearing is solved once, at the polished roots, to check the
+residual contract and describe the outcome.  A population of researcher
+types (a type block) is one joint root problem in every type's cutoff and
+eligible share under any policy (`solve_typed`), seeded by that policy's
+pooled steady state.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
                    SuccessEvaluation, _clearing_thresholds, _payoff,
-                   ban_mass, evaluate_success, lifetime_payoff,
+                   _upper_mass, ban_mass, evaluate_success, lifetime_payoff,
                    truncated_profile, welfare, win_mass)
 from .distributions import _bisect_root
 
@@ -89,32 +94,41 @@ def steady_state_profile(params, cutoff, policy):
     return truncated_profile(params.quality, cutoff, elig)
 
 
-def _batch_residuals(params, policy, grid):
-    """Equilibrium residual on a cutoff grid in one vectorized pass; a single
-    cutoff is a size-1 grid.
+def _steady_state(params, policy, grid):
+    """(rhs, eligibility, interior) arrays of the steady state at every
+    cutoff of a grid array, every mass in closed form and no clearing
+    solve.
 
-    Every mass is closed form, and all clearing thresholds are solved
-    together, each to a bracket below 1e-10 in the signal.  The
-    indifference level is the best-response one at the steady-state
-    payoff: every eligible researcher wins k / eligibility per period and
-    is rejected 1 - F - k / eligibility.  Returns (residual, rhs, interior,
-    sbar, eligibility) arrays, rhs being that indifference level.
+    The indifference level rhs is the best-response one at the
+    steady-state payoff: every eligible researcher wins k / eligibility per
+    period and is rejected 1 - F - k / eligibility.  A row is interior when
+    its submitted volume exceeds the budget.
     """
-    f, noise = params.quality, params.noise
-    k = params.budget
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-
+    f, k = params.quality, params.budget
     F = np.asarray(f.cdf(grid), dtype=float)
-    ban = policy.ban(F, lambda s: ban_mass(grid, s, f, noise))
+    ban = policy.ban(F, lambda s: ban_mass(grid, s, f, params.noise))
     elig = policy.eligibility(F, ban, k)
     win = k / elig
     reject = 1.0 - F - win
     payoff = _payoff(win, reject, policy.payoff_ban(reject, ban, params),
                      params)
     rhs = policy.indifference(grid, payoff, params)
+    return rhs, elig, elig * (1.0 - F) > k + 1e-12
 
-    vol = elig * (1.0 - F)
-    interior = vol > k + 1e-12
+
+def _batch_residuals(params, policy, grid):
+    """Equilibrium residual on a cutoff grid in one vectorized pass; a single
+    cutoff is a size-1 grid.
+
+    The residual is the marginal quality's win probability at the clearing
+    threshold less the indifference level (`_steady_state`).  All clearing
+    thresholds are solved together, each to a bracket below 1e-10 in the
+    signal.  Returns (residual, rhs, interior, sbar, eligibility) arrays,
+    rhs being that indifference level.
+    """
+    f, noise = params.quality, params.noise
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    rhs, elig, interior = _steady_state(params, policy, grid)
 
     # under-subscribed points fund everyone: W = 1
     rows = np.nonzero(interior)[0]
@@ -128,18 +142,47 @@ def _batch_residuals(params, policy, grid):
     return w_at - rhs, rhs, interior, sbar, elig
 
 
+def _sign_residuals(params, policy, grid):
+    """A residual with the sign of `_batch_residuals`' on a cutoff grid,
+    without solving market clearing; each entry equals a size-1 call bit
+    for bit.
+
+    The clearing mass M(s) = eligibility x P(q >= c, q + e >= s) falls
+    strictly in s, so quality c wins with probability above rhs exactly
+    when M is below the budget at s*, the threshold that c clears with
+    probability rhs: s* = c + mean_e - sd_e Phi^-1(rhs), +inf for rhs <= 0
+    and -inf for rhs >= 1.  Interior rows return k - M(s*), one orthant
+    each; under-subscribed rows fund everyone and return the residual
+    1 - rhs itself.
+    """
+    noise = params.noise
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    rhs, elig, interior = _steady_state(params, policy, grid)
+    s_star = grid + noise.mean - noise.stddev * ndtri(np.clip(rhs, 0.0, 1.0))
+    mass = elig * _upper_mass(params.quality, grid, noise, s_star)
+    return np.where(interior, params.budget - mass, 1.0 - rhs)
+
+
 def _scan_roots(params, policy):
     """Global sign-change scan below the first-best cutoff, extending left
-    when the left edge indicates the smallest root lies below the grid;
-    exact zeros on the grid are roots, and every bracket between nonzero
-    values of opposite sign is bisected on the same residual (each entry of
-    a tree call equals a single-cutoff call bit for bit)."""
+    when the left edge indicates the smallest root lies below the grid.
+
+    The scan and the bisection of every bracket read only the sign of the
+    residual, so both walk `_sign_residuals`: one orthant per cutoff, and
+    no clearing solve until the caller checks the polished roots.  Exact
+    zeros on the grid are roots, and every bracket between nonzero values
+    of opposite sign is bisected (each entry of a tree call equals a
+    single-cutoff call bit for bit).  An empty scan interval, the
+    first-best cutoff at or below the grid floor, raises NoRoot.
+    """
     qstar = params.first_best_cutoff
     lo = params.quality.quantile(_GRID_FLOOR_P)
     hi = qstar - 1e-9 * (1.0 + abs(qstar))
+    if not hi > lo:
+        raise NoRoot("the first-best cutoff lies at or below the scan floor")
     floor = params.quality.mean - 60.0 * params.quality.stddev
 
-    values = lambda g: _batch_residuals(params, policy, g)[0]
+    values = lambda g: _sign_residuals(params, policy, g)
     grid = np.linspace(lo, hi, GRID_POINTS)
     vals = values(grid)
     while vals[0] > 0.0 and grid[0] > floor:
@@ -178,8 +221,9 @@ def _outcome(params, policy, cutoff, elig, sbar, **fields):
 
 
 def _solve_common(params, policy, hypothesis_met=True):
-    """Scan and polish the roots, keep the interior ones, and describe the
-    smallest from the same residual call (each of its entries equals a
+    """Scan and polish the roots on the sign residual, then solve clearing
+    once at all of them: keep the interior ones and describe the smallest
+    from that one residual call (each of its entries equals a
     single-cutoff call bit for bit); a smallest root that misses the
     residual contract raises NoConvergence."""
     roots = _scan_roots(params, policy)

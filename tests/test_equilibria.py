@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from contest_eq import (ALWAYS_SUBMIT, NoConvergence, NoRoot, Normal,
                         solve_exclusion, solve_multi_period,
                         solve_signal_cutoff, solve_two_type, solve_typed,
                         steady_state_profile, truncated_profile, win_mass)
-from contest_eq import distributions, equilibria
+from contest_eq import core, distributions, equilibria
 
 import oracles
 from reference import (EXCLUSION_V400_ROOT, V30_Q0, V50_Q0, V50_Q1,
@@ -266,26 +267,70 @@ def test_tree_bisection_takes_the_single_steps(lo, width, at, log_tol, kind,
                                for i in range(0, steps, levels))
 
 
-def test_exclusion_solve_makes_at_most_seven_residual_calls(model_v50,
-                                                            monkeypatch):
-    # one scan, five tree calls for the 26 polish steps of its one bracket,
-    # and one call at the polished roots
-    real = equilibria._batch_residuals
-    sizes = []
+def test_exclusion_solve_makes_six_sign_calls_and_one_clearing_call(
+        model_v50, monkeypatch):
+    # the root search walks the sign residual: one scan call and five tree
+    # calls for the 26 polish steps of its one bracket; market clearing
+    # runs once, at the polished roots
+    calls = {}
 
-    def counted(params, policy, grid):
-        sizes.append(np.size(grid))
-        return real(params, policy, grid)
+    def counted(name):
+        real = getattr(equilibria, name)
 
-    monkeypatch.setattr(equilibria, "_batch_residuals", counted)
+        def wrapper(params, policy, grid):
+            calls[name] = calls.get(name, 0) + 1
+            return real(params, policy, grid)
+        monkeypatch.setattr(equilibria, name, wrapper)
+
+    counted("_sign_residuals")
+    counted("_batch_residuals")
     out = solve_exclusion(model_v50)
     assert abs(out.cutoff - V50_Q1) < 1e-6
-    assert len(sizes) <= 7
+    assert calls == {"_sign_residuals": 6, "_batch_residuals": 1}
+
+
+# orthant evaluations of one model-B solve: one per scan row and tree
+# point (two with a signal ban's own mass), plus the clearing solve at the
+# root; clearing every scan row costs ten times as many
+@pytest.mark.parametrize("policy, bound", [
+    (NoExclusion(), 2_500), (RejectionExclusion(1), 2_500),
+    (RejectionExclusion(5), 2_500), (SignalExclusion(0.0), 5_000)],
+    ids=["benchmark", "exclusion", "t5", "signal_0"])
+def test_model_b_solve_evaluates_about_one_orthant_per_scan_row(
+        model_v50, monkeypatch, policy, bound):
+    real = core._normal_orthant
+    evaluated = []
+
+    def counted(h, k, rho, r):
+        evaluated.append(np.broadcast(h, k).size)
+        return real(h, k, rho, r)
+
+    monkeypatch.setattr(core, "_normal_orthant", counted)
+    policy.solve(model_v50)
+    assert equilibria.GRID_POINTS < sum(evaluated) <= bound
+
+
+def test_empty_scan_interval_raises_before_any_residual_call(monkeypatch):
+    # a budget of 1 - 1e-6 puts the first-best cutoff at the grid floor:
+    # the scan interval is empty, and no leftward extension may run away
+    def refused(params, policy, grid):
+        raise AssertionError("residual evaluated on an empty scan interval")
+
+    monkeypatch.setattr(equilibria, "_sign_residuals", refused)
+    monkeypatch.setattr(equilibria, "_batch_residuals", refused)
+    params = normal_model(1e-7, 1.0, 1.0, reject_cost=1.0, win_value=6.96,
+                          budget=0.999999, discount=0.17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for policy in (NoExclusion(), RejectionExclusion(1),
+                       SignalExclusion(-INF)):
+            with pytest.raises(NoRoot):
+                policy.solve(params)
 
 
 def _scan_with_zero_at_grid_point(params, monkeypatch, shape):
-    """Scan roots of the residual shape(zero - cutoff), zero being the 701st
-    point of the scan grid."""
+    """Scan roots of the sign residual shape(zero - cutoff), zero being the
+    701st point of the scan grid."""
     qstar = params.first_best_cutoff
     grid = np.linspace(params.quality.quantile(equilibria._GRID_FLOOR_P),
                        qstar - 1e-9 * (1.0 + abs(qstar)),
@@ -293,9 +338,9 @@ def _scan_with_zero_at_grid_point(params, monkeypatch, shape):
     zero = grid[700]
 
     def residual(params, policy, cutoffs):
-        return (shape(zero - np.atleast_1d(np.asarray(cutoffs, dtype=float))),)
+        return shape(zero - np.atleast_1d(np.asarray(cutoffs, dtype=float)))
 
-    monkeypatch.setattr(equilibria, "_batch_residuals", residual)
+    monkeypatch.setattr(equilibria, "_sign_residuals", residual)
     return equilibria._scan_roots(params, RejectionExclusion(1)), zero
 
 

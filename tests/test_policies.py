@@ -20,7 +20,7 @@ from contest_eq import (BracketFailure, Mixture, NoConvergence, NoExclusion,
                         steady_state_profile, truncated_profile,
                         winner_density)
 from contest_eq import analysis, core, distributions, equilibria
-from contest_eq.equilibria import NoRoot, _batch_residuals
+from contest_eq.equilibria import NoRoot, _batch_residuals, _sign_residuals
 
 INF = math.inf
 unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
@@ -152,6 +152,37 @@ def test_batch_rows_equal_single_cutoff_calls(params, policy, at):
         single = _batch_residuals(params, policy, float(q))
         for rows, row in zip(batch, single):
             assert rows[i:i + 1].tobytes() == row.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies,
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=63))
+def test_sign_residual_rows_equal_single_cutoff_calls(params, policy, at):
+    """Every entry of a `_sign_residuals` call equals a size-1 call at its
+    cutoff bit for bit: the root search walks it in 63-point tree calls."""
+    lo = params.quality.quantile(1e-6)
+    qstar = params.first_best_cutoff
+    cutoffs = lo + np.array(at) * (qstar - lo)
+    batch = _sign_residuals(params, policy, cutoffs)
+    for i, q in enumerate(cutoffs):
+        single = _sign_residuals(params, policy, float(q))
+        assert batch[i:i + 1].tobytes() == single.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies)
+def test_sign_residual_has_the_sign_of_the_clearing_residual(params, policy):
+    """On the whole cutoff grid, indifference levels outside (0, 1)
+    included, the sign residual has the sign of the residual at the solved
+    clearing threshold wherever that exceeds its own clearing error of
+    1e-9; under-subscribed rows carry the residual itself."""
+    grid = _cutoff_grid(params)
+    sign = _sign_residuals(params, policy, grid)
+    resid, _, interior = _batch_residuals(params, policy, grid)[:3]
+    assert not np.any(np.isnan(sign))
+    clear = np.abs(resid) > 1e-9
+    assert np.array_equal(np.sign(sign[clear]), np.sign(resid[clear]))
+    assert np.array_equal(sign[~interior], resid[~interior])
 
 
 @contextlib.contextmanager
