@@ -29,8 +29,9 @@ from .analysis import (_SOLVER_ERRORS, compare_winners, first_best, sweep,
 from .core import (ModelParams, NoExclusion, RejectionExclusion,
                    SignalExclusion, TypeMix, normal_model)
 from .distributions import Normal
-from .equilibria import (equilibrium_curves, solve_benchmark, solve_exclusion,
-                         solve_multi_period, solve_two_type, solve_typed)
+from .equilibria import (_outcome, equilibrium_curves, solve_benchmark,
+                         solve_exclusion, solve_multi_period, solve_two_type,
+                         solve_typed)
 from .simulation import SimConfig, run_simulation
 
 
@@ -230,15 +231,14 @@ def _outcome_row(outcome):
 
 
 def _cmd_solve(cfg):
-    from .equilibria import _describe
     outcome = cfg.solve()
-    rows = []
-    if len(outcome.all_roots) == 1:
-        rows.append(_outcome_row(outcome))
-    else:
-        for root in outcome.all_roots:
-            rows.append(_outcome_row(
-                _describe(cfg.params, cfg.policy, root, outcome.all_roots)))
+    rows = [_outcome_row(outcome)]
+    # further pooled roots: each row from the solve's clearing at that root
+    for root, (elig, sbar, residual) in zip(outcome.all_roots[1:],
+                                            outcome.root_clearing[1:]):
+        rows.append(_outcome_row(_outcome(
+            cfg.params, cfg.policy, root, elig, sbar, residual=residual,
+            all_roots=outcome.all_roots)))
     _write_csv(cfg.output_path, _SOLVE_HEADER, rows)
     return 0
 
@@ -306,7 +306,9 @@ def _cmd_compare(cfg):
 
 def _cmd_figures(cfg):
     import os
-    outdir = cfg.output_path
+    # a .csv path names the other commands' file: the figures go into the
+    # directory of that name without the suffix
+    outdir = cfg.output_path.removesuffix(".csv")
     os.makedirs(outdir, exist_ok=True)
     params = cfg.params
 

@@ -31,7 +31,10 @@ class NonFiniteIntegrand(ValueError):
 TRUNCATION_SIGMAS = 10.0
 INTEGRATE_PANELS = 8
 # bisection-tree levels per residual call of `_bisect_root` (63 points): the
-# solvers' 26-step root polish takes 5 calls, and 6 was the fastest of 4-9
+# solvers' 26-step root polish takes 5 calls.  Walked by index, 6 and 7
+# levels polish within 5 % of each other (7 ahead on the polish alone,
+# inside the spread on whole solves) and 4, 8 and 9 are slower; 6 evaluates
+# the fewer points
 TREE_LEVELS = 6
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -46,27 +49,37 @@ def _bisect_root(residual, lo, hi, flo, tol):
     `residual` takes an array.  Every TREE_LEVELS steps one call evaluates
     all midpoints the next d = min(TREE_LEVELS, steps left) steps can reach:
     the 2^d - 1 interior points of the bisection tree below the current
-    bracket, each formed as 0.5 * (a + b) of its parent bracket's ends, as
-    a step forms it.  The steps then read their midpoints' values from that
-    batch, so they, and the result, are bit for bit those of one step per
-    call whenever a batch entry equals a single-point call; the calls drop
-    to ceil(steps / TREE_LEVELS).
+    bracket, built level by level as the edges of 2^d equal parts, each
+    formed as 0.5 * (a + b) of its parent bracket's ends, as a step forms
+    it.  The steps then walk the tree by index: a bracket is a pair of edge
+    indices and its midpoint the index halfway between.  So they, and the
+    result, are bit for bit those of one step per call whenever a batch
+    entry equals a single-point call; the calls drop to
+    ceil(steps / TREE_LEVELS).
     """
     steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
-    for step in range(steps):
-        if step % TREE_LEVELS == 0:
-            edges = [lo, hi]
-            for _ in range(min(TREE_LEVELS, steps - step)):
-                mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
-                edges = [x for pair in zip(edges, mids) for x in pair] + [hi]
-            tree = edges[1:-1]
-            batch = dict(zip(tree, residual(np.array(tree))))
-        mid = 0.5 * (lo + hi)
-        fmid = batch[mid]
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+    # a step keeps the sign of the residual at its lower end
+    positive = flo > 0.0
+    for done in range(0, steps, TREE_LEVELS):
+        depth = min(TREE_LEVELS, steps - done)
+        top = 2 ** depth
+        edges = np.empty(top + 1)
+        edges[0], edges[top] = lo, hi
+        # each level fills the midpoints of the brackets the one above left
+        width = top
+        while width > 1:
+            edges[width // 2::width] = 0.5 * (edges[:-1:width]
+                                              + edges[width::width])
+            width //= 2
+        raise_lo = ((residual(edges[1:-1]) > 0.0) == positive).tolist()
+        a, b = 0, top
+        for _ in range(depth):
+            mid = (a + b) // 2
+            if raise_lo[mid - 1]:
+                a = mid
+            else:
+                b = mid
+        lo, hi = float(edges[a]), float(edges[b])
     return 0.5 * (lo + hi)
 
 

@@ -7,11 +7,12 @@ Solvers scan a uniform grid for sign changes of the defining residual,
 bisect every bracket, report all roots, and return the smallest as the
 canonical outcome.  The scan and the bisection read only the residual's
 sign, which one orthant per cutoff decides without solving market
-clearing; clearing is solved once, at the polished roots, to check the
-residual contract and describe the outcome.  A population of researcher
-types (a type block) is one joint root problem in every type's cutoff and
-eligible share under any policy (`solve_typed`), seeded by that policy's
-pooled steady state.
+clearing.  One root pass then clears the market at all polished roots,
+each by one checked Newton step from the threshold the sign residual
+formed, and so checks the residual contract and describes every root's
+outcome.  A population of researcher types (a type block) is one joint
+root problem in every type's cutoff and eligible share under any policy
+(`solve_typed`), seeded by that policy's pooled steady state.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from scipy.special import ndtri
 from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
                    SuccessEvaluation, _clearing_thresholds, _payoff,
-                   _upper_mass, ban_mass, evaluate_success, lifetime_payoff,
-                   truncated_profile, welfare, win_mass)
+                   _signal_density, _upper_mass, ban_mass, evaluate_success,
+                   lifetime_payoff, truncated_profile, welfare, win_mass)
 from .distributions import _bisect_root
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
@@ -36,6 +37,11 @@ from .distributions import _bisect_root
 GRID_POINTS = 2000
 _GRID_FLOOR_P = 1e-6
 _ROOT_TOL = 1e-10
+# a root's one-step clearing threshold stands when the funded mass at this
+# half width on either side of it differs from the budget by more than
+# _MASS_ERROR, five times the orthant's 2e-16 accuracy
+_CLEARING_CHECK = 5e-11
+_MASS_ERROR = 1e-15
 # every returned steady state meets its equilibrium residual to this level
 _RESIDUAL_CONTRACT = 1e-8
 
@@ -62,7 +68,10 @@ class EquilibriumOutcome:
     type block).  all_roots lists every sign-change root found by the scan,
     smallest first; the canonical outcome is the smallest.  residual
     re-evaluates the defining equation at the returned cutoff(s), and
-    profile is the recurrent submission profile they induce.
+    profile is the recurrent submission profile they induce.  A pooled
+    solve also keeps root_clearing: the (eligibility, sbar, residual) of
+    each of all_roots from the one clearing pass at the roots (empty for
+    typed and corner outcomes).
     """
 
     regime: str
@@ -78,6 +87,7 @@ class EquilibriumOutcome:
     hypothesis_met: bool = True
     corner: bool = False
     profile: SubmissionProfile | None = field(default=None, repr=False)
+    root_clearing: tuple = field(default=(), repr=False)
 
     @property
     def cutoff(self):
@@ -126,20 +136,41 @@ def _batch_residuals(params, policy, grid):
     signal.  Returns (residual, rhs, interior, sbar, eligibility) arrays,
     rhs being that indifference level.
     """
-    f, noise = params.quality, params.noise
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     rhs, elig, interior = _steady_state(params, policy, grid)
+    resid, sbar = _residuals_at(params, grid, rhs, elig, interior,
+                                np.full(grid.size, math.nan))
+    return resid, rhs, interior, sbar, elig
 
-    # under-subscribed points fund everyone: W = 1
-    rows = np.nonzero(interior)[0]
-    sbar = np.full(grid.size, -math.inf)
-    sbar[rows] = _clearing_thresholds([(f, grid[rows], elig[rows])], params,
-                                      *f.support_hint, 1e-10)
+
+def _residuals_at(params, grid, rhs, elig, interior, sbar):
+    """(residual, sbar) at the clearing thresholds `sbar`, after the
+    bracketed kernel has solved every interior row that holds nan (to a
+    bracket below 1e-10); under-subscribed rows fund everyone: sbar = -inf
+    and W = 1."""
+    f = params.quality
+    rows = np.nonzero(interior & np.isnan(sbar))[0]
+    if rows.size:
+        sbar[rows] = _clearing_thresholds([(f, grid[rows], elig[rows])],
+                                          params, *f.support_hint, 1e-10)
+    sbar[~interior] = -math.inf
     with np.errstate(invalid="ignore"):
-        w_at = np.where(interior,
-                        1.0 - np.asarray(noise.cdf(sbar - grid), dtype=float),
-                        1.0)
-    return w_at - rhs, rhs, interior, sbar, elig
+        w_at = np.where(interior, 1.0 - np.asarray(
+            params.noise.cdf(sbar - grid), dtype=float), 1.0)
+    return w_at - rhs, sbar
+
+
+def _indifferent_threshold(params, policy, grid):
+    """(rhs, eligibility, interior, s*, M(s*)) arrays on a cutoff grid:
+    the steady state (`_steady_state`), the threshold that each cutoff c
+    clears with probability rhs, s* = c + mean_e - sd_e Phi^-1(rhs) (+inf
+    for rhs <= 0 and -inf for rhs >= 1), and the clearing mass there,
+    M(s) = eligibility x P(q >= c, q + e >= s), one orthant per row."""
+    noise = params.noise
+    rhs, elig, interior = _steady_state(params, policy, grid)
+    s_star = grid + noise.mean - noise.stddev * ndtri(np.clip(rhs, 0.0, 1.0))
+    mass = elig * _upper_mass(params.quality, grid, noise, s_star)
+    return rhs, elig, interior, s_star, mass
 
 
 def _sign_residuals(params, policy, grid):
@@ -147,20 +178,45 @@ def _sign_residuals(params, policy, grid):
     without solving market clearing; each entry equals a size-1 call bit
     for bit.
 
-    The clearing mass M(s) = eligibility x P(q >= c, q + e >= s) falls
-    strictly in s, so quality c wins with probability above rhs exactly
-    when M is below the budget at s*, the threshold that c clears with
-    probability rhs: s* = c + mean_e - sd_e Phi^-1(rhs), +inf for rhs <= 0
-    and -inf for rhs >= 1.  Interior rows return k - M(s*), one orthant
-    each; under-subscribed rows fund everyone and return the residual
-    1 - rhs itself.
+    The clearing mass M(s) falls strictly in s, so quality c wins with
+    probability above rhs exactly when M is below the budget at s*, the
+    threshold that c clears with probability rhs (`_indifferent_threshold`).
+    Interior rows return k - M(s*), one orthant each; under-subscribed rows
+    fund everyone and return the residual 1 - rhs itself.
     """
-    noise = params.noise
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    rhs, elig, interior = _steady_state(params, policy, grid)
-    s_star = grid + noise.mean - noise.stddev * ndtri(np.clip(rhs, 0.0, 1.0))
-    mass = elig * _upper_mass(params.quality, grid, noise, s_star)
+    rhs, _, interior, _, mass = _indifferent_threshold(params, policy, grid)
     return np.where(interior, params.budget - mass, 1.0 - rhs)
+
+
+def _root_pass(params, policy, roots):
+    """(residual, interior, sbar, eligibility) arrays at polished roots,
+    the clearing ones as in `_batch_residuals`; each entry equals a size-1
+    call bit for bit.
+
+    At a root polished to 1e-10 the threshold s* (`_indifferent_threshold`)
+    lies within about 1e-11 of the clearing one, so one Newton step of the
+    clearing mass from s* solves clearing: sbar = s* + (M(s*) - k) / -M'(s*).
+    A step is kept when the funded mass straddles the budget at
+    sbar -+ _CLEARING_CHECK, each side by more than the mass's rounding:
+    the true threshold then lies within half the bracketed kernel's 1e-10
+    tolerance, as the kernel's does.  The kernel solves the interior rows
+    that fail the check (`_residuals_at`): a non-finite s*, a zero slope,
+    or a slope so small (budgets far in a tail) that rounding hides the
+    straddle.
+    """
+    f, noise, k = params.quality, params.noise, params.budget
+    roots = np.atleast_1d(np.asarray(roots, dtype=float))
+    rhs, elig, interior, s_star, mass = _indifferent_threshold(params, policy,
+                                                               roots)
+    with np.errstate(all="ignore"):
+        sbar = s_star + (mass - k) / (elig * _signal_density(f, roots, noise,
+                                                             s_star))
+        below, above = elig * _upper_mass(
+            f, roots, noise, sbar + [[-_CLEARING_CHECK], [_CLEARING_CHECK]])
+    sbar[~((below - k > _MASS_ERROR) & (k - above > _MASS_ERROR))] = math.nan
+    resid, sbar = _residuals_at(params, roots, rhs, elig, interior, sbar)
+    return resid, interior, sbar, elig
 
 
 def _scan_roots(params, policy):
@@ -201,14 +257,6 @@ def _scan_roots(params, policy):
                                         _ROOT_TOL)) for i in brackets])
 
 
-def _describe(params, policy, cutoff, all_roots, hypothesis_met=True):
-    """Assemble the full outcome record for a solved cutoff."""
-    resid, _, _, sbar, elig = _batch_residuals(params, policy, cutoff)
-    return _outcome(params, policy, cutoff, float(elig[0]), float(sbar[0]),
-                    residual=float(abs(resid[0])),
-                    all_roots=tuple(all_roots), hypothesis_met=hypothesis_met)
-
-
 def _outcome(params, policy, cutoff, elig, sbar, **fields):
     profile = truncated_profile(params.quality, cutoff, elig)
     ev = SuccessEvaluation(sbar=sbar, noise=params.noise)
@@ -222,23 +270,26 @@ def _outcome(params, policy, cutoff, elig, sbar, **fields):
 
 def _solve_common(params, policy, hypothesis_met=True):
     """Scan and polish the roots on the sign residual, then solve clearing
-    once at all of them: keep the interior ones and describe the smallest
-    from that one residual call (each of its entries equals a
-    single-cutoff call bit for bit); a smallest root that misses the
-    residual contract raises NoConvergence."""
+    once at all of them in one root pass (`_root_pass`): keep the interior
+    ones and describe the smallest, recording every kept root's
+    eligibility, threshold and residual from that pass; a smallest root
+    that misses the residual contract raises NoConvergence."""
     roots = _scan_roots(params, policy)
-    resid, _, interior, sbar, elig = _batch_residuals(params, policy, roots)
-    if not np.any(interior):
+    resid, interior, sbar, elig = _root_pass(params, policy, roots)
+    keep = np.nonzero(interior)[0]
+    if not keep.size:
         raise NoRoot(f"no equilibrium cutoff found for {policy}")
-    first = np.argmax(interior)
+    first = keep[0]
     residual = float(abs(resid[first]))
     if not residual < _RESIDUAL_CONTRACT:
         raise NoConvergence(f"{policy.regime} root residual {residual:.3e}"
                             " misses its contract", best_residual=residual)
     return _outcome(params, policy, roots[first], float(elig[first]),
                     float(sbar[first]), residual=residual,
-                    all_roots=tuple(r for r, keep in zip(roots, interior)
-                                    if keep),
+                    all_roots=tuple(roots[i] for i in keep),
+                    root_clearing=tuple(
+                        (float(elig[i]), float(sbar[i]), float(abs(resid[i])))
+                        for i in keep),
                     hypothesis_met=hypothesis_met)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from contest_eq import equilibria
-from contest_eq.cli import (ParseError, ValidationError, main,
+from contest_eq.cli import (ParseError, RunConfig, ValidationError, main,
                             parse_config, run_command)
 
 from reference import V50_Q1, V20_BAN_ROOTS
@@ -137,6 +137,64 @@ def test_solve_command_writes_single_benchmark_row(tmp_path):
     assert rows[0]["regime"] == "benchmark"
     assert float(rows[0]["residual"]) < 1e-8
     assert float(rows[0]["cutoff"]) < float(1.2815515655446004)
+
+
+# a two-type population whose pooled problem under one-period bans has
+# three roots: draw 910 of a seeded search (numpy default_rng(5)) over
+# two-type models, rounded.  No normal model turned up two pooled roots in
+# a seeded search of the valid box.
+MULTI_ROOT_DOC = """
+[model]
+var_s = 0.347
+C = 1.0
+V = 245.0
+k = 0.457
+delta = 0.166
+lambda_H = 0.48
+mu_q_H = 3.74
+var_q_H = 0.0377
+mu_q_L = 0.0
+var_q_L = 0.0742
+
+[policy]
+regime = exclusion
+
+[output]
+path = {path}
+"""
+
+
+def test_solve_writes_one_row_per_pooled_root(tmp_path, monkeypatch):
+    # the config's solve is pointed at the population's pooled problem (the
+    # typed solver's seed): every root gets its row from the one clearing
+    # pass the solve made at its roots, and no root is solved twice
+    monkeypatch.setattr(RunConfig, "solve",
+                        lambda self: self.policy.solve(self.params))
+    calls = []
+
+    def counted(name):
+        real = getattr(equilibria, name)
+        monkeypatch.setattr(equilibria, name,
+                            lambda *args: calls.append(name) or real(*args))
+
+    for name in ("_root_pass", "_batch_residuals", "_clearing_thresholds"):
+        counted(name)
+    config = tmp_path / "multi.ini"
+    config.write_text(MULTI_ROOT_DOC.format(path=tmp_path / "multi.csv"))
+    assert main(["solve", "--config", str(config)]) == 0
+    assert calls == ["_root_pass"]
+    cfg = parse_config(config.read_text())
+    rows = _read_rows(tmp_path / "multi.csv")
+    assert len(rows) == 3
+    cutoffs = [float(row["cutoff"]) for row in rows]
+    assert cutoffs == sorted(cutoffs)
+    for row, cutoff in zip(rows, cutoffs):
+        assert row["regime"] == "exclusion"
+        assert float(row["residual"]) < 1e-8
+        _, _, _, sbar, elig = equilibria._batch_residuals(
+            cfg.params, cfg.policy, cutoff)
+        assert abs(float(row["sbar"]) - sbar[0]) < 1e-9
+        assert abs(float(row["eligibility"]) - elig[0]) < 1e-9
 
 
 def test_csv_output_is_byte_stable(tmp_path):
@@ -322,6 +380,23 @@ path = {path}
     assert roots[50] < roots[1] < roots[5]
     for t in (1, 5, 50):
         assert abs(roots[t] - V20_BAN_ROOTS[t]) < 1e-6
+
+
+def test_sweep_and_figures_share_a_working_directory(tmp_path, monkeypatch):
+    # ban_length.ini's one output path serves both commands: the sweep's
+    # CSV file and the figures' directory must not collide
+    monkeypatch.chdir(tmp_path)
+    config = str(CONFIGS / "ban_length.ini")
+    assert main(["sweep", "--config", config]) == 0
+    swept = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["figures", "--config", config]) == 0
+    figures = tmp_path / "ban_length"
+    assert sorted(p.name for p in figures.iterdir()) == [
+        "figure1.csv", "figure2.csv", "figure3.csv"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+            if p.is_file()} == swept
+    assert main(["sweep", "--config", config]) == 0
+    assert len(list(figures.iterdir())) == 3
 
 
 def test_sweep_command(tmp_path):

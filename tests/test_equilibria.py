@@ -271,22 +271,41 @@ def test_exclusion_solve_makes_six_sign_calls_and_one_clearing_call(
         model_v50, monkeypatch):
     # the root search walks the sign residual: one scan call and five tree
     # calls for the 26 polish steps of its one bracket; market clearing
-    # runs once, at the polished roots
+    # runs once, in the root pass at the polished roots, where one checked
+    # Newton step clears without the bracketed kernel
     calls = {}
 
     def counted(name):
         real = getattr(equilibria, name)
 
-        def wrapper(params, policy, grid):
+        def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
-            return real(params, policy, grid)
+            return real(*args)
         monkeypatch.setattr(equilibria, name, wrapper)
 
-    counted("_sign_residuals")
-    counted("_batch_residuals")
+    for name in ("_sign_residuals", "_root_pass", "_batch_residuals",
+                 "_clearing_thresholds"):
+        counted(name)
     out = solve_exclusion(model_v50)
     assert abs(out.cutoff - V50_Q1) < 1e-6
-    assert calls == {"_sign_residuals": 6, "_batch_residuals": 1}
+    assert calls == {"_sign_residuals": 6, "_root_pass": 1}
+
+
+@pytest.mark.parametrize("policy", EVERY_POLICY.values(), ids=EVERY_POLICY)
+def test_model_b_root_pass_clears_without_the_kernel(model_v50, monkeypatch,
+                                                     policy):
+    # at a root polished to 1e-10 the Newton step from s* passes its check
+    # under every policy, the kernel staying the fallback, and clears to
+    # rounding: within 1e-13 of the threshold bracketed to 1e-14
+    def refused(*args):
+        raise AssertionError("the root pass fell back to the kernel")
+
+    monkeypatch.setattr(equilibria, "_clearing_thresholds", refused)
+    monkeypatch.setattr(equilibria, "_batch_residuals", refused)
+    out = policy.solve(model_v50)
+    assert out.residual < 1e-8
+    assert len(out.root_clearing) == len(out.all_roots) == 1
+    assert abs(out.sbar - core.signal_cutoff(out.profile, model_v50)) < 1e-13
 
 
 # orthant evaluations of one model-B solve: one per scan row and tree
@@ -316,8 +335,8 @@ def test_empty_scan_interval_raises_before_any_residual_call(monkeypatch):
     def refused(params, policy, grid):
         raise AssertionError("residual evaluated on an empty scan interval")
 
-    monkeypatch.setattr(equilibria, "_sign_residuals", refused)
-    monkeypatch.setattr(equilibria, "_batch_residuals", refused)
+    for name in ("_sign_residuals", "_root_pass", "_batch_residuals"):
+        monkeypatch.setattr(equilibria, name, refused)
     params = normal_model(1e-7, 1.0, 1.0, reject_cost=1.0, win_value=6.96,
                           budget=0.999999, discount=0.17)
     with warnings.catch_warnings():

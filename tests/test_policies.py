@@ -1,12 +1,15 @@
 """Property tests of the exclusion-policy layer over the valid parameter
 box: V/C over six decades, k and delta in (0, 1), var_s/var_q from 1e-4 to
-1e2, ban lengths up to 1e4 and signal bars across +-inf.  Each example
-evaluates the residual on one grid, one clearing solve or the bisections
-of one best response, quantile or winner comparison; only the contract
-property runs full pooled solves."""
+1e2, ban lengths up to 1e4 and signal bars across +-inf, with review noise
+centred off zero.  Each example evaluates the residual on one grid, one
+clearing solve or the bisections of one best response, quantile or winner
+comparison; the root-pass properties run the root search, and only the
+contract property runs full pooled solves."""
 
 import contextlib
 import math
+import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -30,11 +33,14 @@ unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 def models(draw):
     c = 10.0 ** draw(st.floats(-0.5, 0.5))
     var_q = 10.0 ** draw(st.floats(-0.5, 0.5))
-    return normal_model(draw(st.floats(-1.0, 1.0)), var_q,
-                        var_q * 10.0 ** draw(st.floats(-4.0, 2.0)),
-                        reject_cost=c,
-                        win_value=c * 10.0 ** draw(st.floats(-1.0, 5.0)),
-                        budget=draw(unit), discount=draw(unit))
+    params = normal_model(draw(st.floats(-1.0, 1.0)), var_q,
+                          var_q * 10.0 ** draw(st.floats(-4.0, 2.0)),
+                          reject_cost=c,
+                          win_value=c * 10.0 ** draw(st.floats(-1.0, 5.0)),
+                          budget=draw(unit), discount=draw(unit))
+    # review noise centred off zero: a signal bias
+    return replace(params, noise=Normal(draw(st.floats(-2.0, 2.0)),
+                                        params.noise.variance))
 
 
 policies = st.one_of(
@@ -183,6 +189,73 @@ def test_sign_residual_has_the_sign_of_the_clearing_residual(params, policy):
     clear = np.abs(resid) > 1e-9
     assert np.array_equal(np.sign(sign[clear]), np.sign(resid[clear]))
     assert np.array_equal(sign[~interior], resid[~interior])
+
+
+def _polished_roots(params, policy):
+    try:
+        return equilibria._scan_roots(params, policy)
+    except NoRoot:
+        return []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies,
+       st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_root_pass_rows_equal_single_cutoff_calls(params, policy, at):
+    """Every entry of a `_root_pass` call equals a size-1 call at its
+    cutoff bit for bit, at polished roots (one Newton step) and at other
+    cutoffs (the bracketed kernel), and the pass raises no floating-point
+    warning."""
+    lo = params.quality.quantile(1e-6)
+    qstar = params.first_best_cutoff
+    cutoffs = np.concatenate([_polished_roots(params, policy),
+                              lo + np.array(at) * (qstar - lo)])
+    assume(cutoffs.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = equilibria._root_pass(params, policy, cutoffs)
+        for i, q in enumerate(cutoffs):
+            single = equilibria._root_pass(params, policy, float(q))
+            for rows, row in zip(batch, single):
+                assert rows[i:i + 1].tobytes() == row.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies)
+def test_root_pass_threshold_is_the_clearing_threshold(params, policy):
+    """At every polished root the root pass's threshold lies within 1e-10
+    of the bracketed kernel's: both are within 5e-11 of clearing."""
+    roots = np.array(_polished_roots(params, policy))
+    assume(roots.size)
+    _, interior, sbar, elig = equilibria._root_pass(params, policy, roots)
+    f = params.quality
+    kernel = core._clearing_thresholds(
+        [(f, roots[interior], elig[interior])], params, *f.support_hint,
+        1e-10)
+    assert np.all(np.abs(sbar[interior] - kernel) <= 1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies)
+def test_root_pass_falls_back_to_the_kernel_off_a_root(params, policy):
+    """At the interior grid cutoff farthest from a root s* is far from
+    clearing: the Newton step fails its check, and the pass returns the
+    bracketed kernel's threshold bit for bit."""
+    grid = _cutoff_grid(params)
+    sign = _sign_residuals(params, policy, grid)
+    interior = equilibria._steady_state(params, policy, grid)[2]
+    far = np.where(interior, np.abs(sign), -1.0)
+    i = int(np.argmax(far))
+    assume(far[i] > 1e-3)
+    q = grid[i:i + 1]
+    with mock.patch.object(equilibria, "_clearing_thresholds",
+                           wraps=core._clearing_thresholds) as kernel:
+        _, _, sbar, elig = equilibria._root_pass(params, policy, q)
+    assert kernel.call_count == 1
+    f = params.quality
+    expected = core._clearing_thresholds([(f, q, elig)], params,
+                                         *f.support_hint, 1e-10)
+    assert sbar.tobytes() == expected.tobytes()
 
 
 @contextlib.contextmanager
