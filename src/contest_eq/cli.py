@@ -194,6 +194,12 @@ def parse_config(text, overrides=()):
                      grid_size=grid_size)
 
 
+# a float cell's text, bound once so that a column of floats formats in
+# one map with no Python call per cell
+_FLOAT_TYPES = frozenset({float, np.float64})
+_fmt_float = "%.12g".__mod__
+
+
 def _fmt(x):
     if x is None:
         return ""
@@ -201,18 +207,29 @@ def _fmt(x):
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".12g")
+    return _fmt_float(float(x))
+
+
+def _column_text(cells):
+    """One column's cells as `_fmt` writes them: a column of floats in one
+    map; in a mixed column, float cells the same way and the others through
+    `_fmt`."""
+    if _FLOAT_TYPES.issuperset(map(type, cells)):
+        return map(_fmt_float, cells)
+    return [_fmt_float(x) if type(x) in _FLOAT_TYPES else _fmt(x)
+            for x in cells]
 
 
 def _write_csv(path, header, rows):
+    """Write a header and rows of equal length, formatted a column at a
+    time; the csv writer quotes the text cells."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("CSV rows differ in length")
+    columns = [_column_text(cells) for cells in zip(*rows)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(zip(*columns))
 
 
 _SOLVE_HEADER = ["regime", "cutoff", "cutoff_2", "eligibility",

@@ -255,6 +255,22 @@ def _upper_mass(base, cutoff, noise, b):
     return _normal_orthant(h, z, rho, r)
 
 
+def _upper_mass_bounds(base, cutoff, noise, b):
+    """(lower, upper) bounds of `_upper_mass` from its two tails alone:
+    quality and signal correlate positively, so the orthant lies between
+    the product and the minimum of P(q >= cutoff) and P(q + e >= b)
+    (Slepian 1962).  Two `ndtr` calls per part, no Owen's T; a mixture base
+    sums its weighted parts."""
+    if isinstance(base, Mixture):
+        parts = [(w, _upper_mass_bounds(d, cutoff, noise, b))
+                 for w, d in base.parts]
+        return (sum(w * lower for w, (lower, _) in parts),
+                sum(w * upper for w, (_, upper) in parts))
+    h, z, *_ = _standardize(base, noise, cutoff, b)
+    tail_q, tail_s = ndtr(-h), ndtr(-z)
+    return tail_q * tail_s, np.minimum(tail_q, tail_s)
+
+
 def _signal_density(base, cutoff, noise, b):
     """-d/db of `_upper_mass`: the density of the signal at b jointly with
     q >= cutoff."""

@@ -4,13 +4,15 @@ Each policy reduces to a one-dimensional root problem in the entry cutoff:
 the marginal quality must be indifferent between submitting and staying
 out, given the competition that the cutoff itself regenerates every period.
 Solvers scan a uniform grid for sign changes of the defining residual,
-bisect every bracket, report all roots, and return the smallest as the
-canonical outcome.  The scan and the bisection read only the residual's
-sign, which one orthant per cutoff decides without solving market
-clearing.  One root pass then clears the market at all polished roots,
-each by one checked Newton step from the threshold the sign residual
-formed, and so checks the residual contract and describes every root's
-outcome.  A population of researcher types (a type block) is one joint
+polish every bracket, report all roots, and return the smallest as the
+canonical outcome.  The scan and the polish read only the residual's
+sign, which two normal tails decide at most cutoffs and one orthant at
+the rest, without solving market clearing.  The polish shrinks each
+bracket with checked secant windows, and the bisection tree finishes
+where they stop.  One root pass then clears the market at all polished
+roots, each by one checked Newton step from the threshold the sign
+residual formed, and so checks the residual contract and describes every
+root's outcome.  A population of researcher types (a type block) is one joint
 root problem in every type's cutoff and eligible share under any policy
 (`solve_typed`), seeded by that policy's pooled steady state.
 """
@@ -27,9 +29,10 @@ from scipy.special import ndtri
 from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
                    SuccessEvaluation, _clearing_thresholds, _payoff,
-                   _signal_density, _upper_mass, ban_mass, evaluate_success,
-                   lifetime_payoff, truncated_profile, welfare, win_mass)
-from .distributions import _bisect_root
+                   _signal_density, _upper_mass, _upper_mass_bounds, ban_mass,
+                   evaluate_success, lifetime_payoff, truncated_profile,
+                   welfare, win_mass)
+from .distributions import TREE_LEVELS, _bisect_root
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -42,6 +45,12 @@ _ROOT_TOL = 1e-10
 # _MASS_ERROR, five times the orthant's 2e-16 accuracy
 _CLEARING_CHECK = 5e-11
 _MASS_ERROR = 1e-15
+# the root polish's nested secant windows grow by this factor
+_WINDOW_RATIO = 4.0
+# a sign-residual row takes its sign from a two-tail bound of the clearing
+# mass when the bound clears the budget by more than this, about 500 times
+# the orthant's 2e-16 accuracy
+_SCREEN_MARGIN = 1e-13
 # every returned steady state meets its equilibrium residual to this level
 _RESIDUAL_CONTRACT = 1e-8
 
@@ -161,16 +170,15 @@ def _residuals_at(params, grid, rhs, elig, interior, sbar):
 
 
 def _indifferent_threshold(params, policy, grid):
-    """(rhs, eligibility, interior, s*, M(s*)) arrays on a cutoff grid:
-    the steady state (`_steady_state`), the threshold that each cutoff c
-    clears with probability rhs, s* = c + mean_e - sd_e Phi^-1(rhs) (+inf
-    for rhs <= 0 and -inf for rhs >= 1), and the clearing mass there,
-    M(s) = eligibility x P(q >= c, q + e >= s), one orthant per row."""
+    """(rhs, eligibility, interior, s*) arrays on a cutoff grid: the steady
+    state (`_steady_state`) and the threshold that each cutoff c clears with
+    probability rhs, s* = c + mean_e - sd_e Phi^-1(rhs) (+inf for rhs <= 0
+    and -inf for rhs >= 1).  The clearing mass there is
+    M(s*) = eligibility x P(q >= c, q + e >= s*), one orthant per row."""
     noise = params.noise
     rhs, elig, interior = _steady_state(params, policy, grid)
     s_star = grid + noise.mean - noise.stddev * ndtri(np.clip(rhs, 0.0, 1.0))
-    mass = elig * _upper_mass(params.quality, grid, noise, s_star)
-    return rhs, elig, interior, s_star, mass
+    return rhs, elig, interior, s_star
 
 
 def _sign_residuals(params, policy, grid):
@@ -181,12 +189,26 @@ def _sign_residuals(params, policy, grid):
     The clearing mass M(s) falls strictly in s, so quality c wins with
     probability above rhs exactly when M is below the budget at s*, the
     threshold that c clears with probability rhs (`_indifferent_threshold`).
-    Interior rows return k - M(s*), one orthant each; under-subscribed rows
-    fund everyone and return the residual 1 - rhs itself.
+    Interior rows return k - M(s*); under-subscribed rows fund everyone and
+    return the residual 1 - rhs itself.  Two tails bound M(s*) first
+    (`_upper_mass_bounds`): a row whose lower bound exceeds the budget, or
+    whose upper bound falls below it, by more than _SCREEN_MARGIN returns k
+    less that bound, whose sign is k - M's, and only the remaining interior
+    rows pay for an orthant.
     """
+    f, noise, k = params.quality, params.noise, params.budget
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    rhs, _, interior, _, mass = _indifferent_threshold(params, policy, grid)
-    return np.where(interior, params.budget - mass, 1.0 - rhs)
+    rhs, elig, interior, s_star = _indifferent_threshold(params, policy, grid)
+    lower, upper = _upper_mass_bounds(f, grid, noise, s_star)
+    # k - M(s*) lies in [least, most]
+    least, most = k - elig * upper, k - elig * lower
+    negative, positive = most < -_SCREEN_MARGIN, least > _SCREEN_MARGIN
+    out = np.where(interior, np.where(negative, most, least), 1.0 - rhs)
+    rows = np.nonzero(interior & ~negative & ~positive)[0]
+    if rows.size:
+        out[rows] = k - elig[rows] * _upper_mass(f, grid[rows], noise,
+                                                 s_star[rows])
+    return out
 
 
 def _root_pass(params, policy, roots):
@@ -207,8 +229,8 @@ def _root_pass(params, policy, roots):
     """
     f, noise, k = params.quality, params.noise, params.budget
     roots = np.atleast_1d(np.asarray(roots, dtype=float))
-    rhs, elig, interior, s_star, mass = _indifferent_threshold(params, policy,
-                                                               roots)
+    rhs, elig, interior, s_star = _indifferent_threshold(params, policy, roots)
+    mass = elig * _upper_mass(f, roots, noise, s_star)
     with np.errstate(all="ignore"):
         sbar = s_star + (mass - k) / (elig * _signal_density(f, roots, noise,
                                                              s_star))
@@ -219,17 +241,69 @@ def _root_pass(params, policy, roots):
     return resid, interior, sbar, elig
 
 
+def _tree_calls(lo, hi, tol):
+    """Residual calls `_bisect_root` makes on [lo, hi]: its step count over
+    TREE_LEVELS steps per call."""
+    steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
+    return math.ceil(steps / TREE_LEVELS)
+
+
+def _secant_polish(residual, lo, hi, flo, fhi, tol):
+    """Root of a sign change of `residual` on [lo, hi], whose values at the
+    ends are flo and fhi: the midpoint of a final bracket narrower than
+    `tol` whose ends differ in sign, as `_bisect_root` returns it.
+
+    Checked secant windows shrink the bracket first.  One residual call
+    evaluates the ends of nested windows centred on the secant root of the
+    bracket in hand, of half widths tol/5 x 4^i, those inside it.  Of
+    these points and the bracket's ends, the first adjacent pair whose
+    signs differ, as the tree walk reads a sign, becomes the bracket, and
+    the next secant starts from its ends.  The innermost window (0.4 tol
+    wide) and the pairs beside it (0.6 tol) end the search.  No width is a
+    power of two times `tol`, where the rounding of the tree walk's step
+    count could leave a final bracket a rounding wider than `tol`.
+
+    Once a window call leaves as many tree calls (`_tree_calls`) as the
+    bracket before it, the tree walk (`_bisect_root`) finishes on the
+    bracket in hand.  Every other window call saves at least one tree
+    call, so the polish takes at most one residual call more than the
+    tree walk on [lo, hi].
+    """
+    calls = _tree_calls(lo, hi, tol)
+    while calls:
+        x = lo + (hi - lo) * (flo / (flo - fhi))
+        half = [0.2 * tol * _WINDOW_RATIO ** i for i in range(math.ceil(
+            math.log(5.0 * (hi - lo) / tol, _WINDOW_RATIO)))]
+        # the window ends inside the bracket, each float once
+        inside = sorted({e for w in half for e in (x - w, x + w)
+                         if lo < e < hi})
+        if not inside:
+            break
+        ends = [lo, *inside, hi]
+        vals = [flo, *residual(np.array(inside)).tolist(), fhi]
+        j = next(i for i in range(len(ends) - 1)
+                 if (vals[i] > 0.0) != (vals[i + 1] > 0.0))
+        lo, hi, flo, fhi = ends[j], ends[j + 1], vals[j], vals[j + 1]
+        narrowed = _tree_calls(lo, hi, tol)
+        if narrowed == calls:
+            break
+        calls = narrowed
+    return _bisect_root(residual, lo, hi, flo, tol)
+
+
 def _scan_roots(params, policy):
     """Global sign-change scan below the first-best cutoff, extending left
     when the left edge indicates the smallest root lies below the grid.
 
-    The scan and the bisection of every bracket read only the sign of the
-    residual, so both walk `_sign_residuals`: one orthant per cutoff, and
-    no clearing solve until the caller checks the polished roots.  Exact
-    zeros on the grid are roots, and every bracket between nonzero values
-    of opposite sign is bisected (each entry of a tree call equals a
-    single-cutoff call bit for bit).  An empty scan interval, the
-    first-best cutoff at or below the grid floor, raises NoRoot.
+    The scan and the polish of every bracket read only the sign of the
+    residual, so both walk `_sign_residuals`: a two-tail screen and an
+    orthant only where it leaves the sign in doubt, and no clearing solve
+    until the caller checks the polished roots.  Exact zeros on the grid
+    are roots, and every bracket between nonzero values of opposite sign is
+    polished by checked secant windows, then the bisection tree
+    (`_secant_polish`), to a final bracket below _ROOT_TOL.  An empty scan
+    interval, the first-best cutoff at or below the grid floor, raises
+    NoRoot.
     """
     qstar = params.first_best_cutoff
     lo = params.quality.quantile(_GRID_FLOOR_P)
@@ -253,8 +327,9 @@ def _scan_roots(params, policy):
     sign = np.sign(vals)
     brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
     return sorted(grid[vals == 0.0].tolist()
-                  + [float(_bisect_root(values, grid[i], grid[i + 1], vals[i],
-                                        _ROOT_TOL)) for i in brackets])
+                  + [float(_secant_polish(values, grid[i], grid[i + 1],
+                                          vals[i], vals[i + 1], _ROOT_TOL))
+                     for i in brackets])
 
 
 def _outcome(params, policy, cutoff, elig, sbar, **fields):

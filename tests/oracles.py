@@ -40,11 +40,10 @@ def quantile_bisect(cdf, p, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
-def bisect_steps(residual, lo, hi, flo, tol):
+def bisect_bracket(residual, lo, hi, flo, tol):
     """The package's bisection one step per call: ceil(log2(width / tol))
     steps on a sign change of `residual` (a float function) whose value at
-    `lo` is `flo`, returning the midpoint of the last bracket.  The
-    reference the tree walk of `distributions._bisect_root` must match."""
+    `lo` is `flo`, returning the last bracket."""
     steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
@@ -53,6 +52,13 @@ def bisect_steps(residual, lo, hi, flo, tol):
             lo, flo = mid, fmid
         else:
             hi = mid
+    return lo, hi
+
+
+def bisect_steps(residual, lo, hi, flo, tol):
+    """The midpoint of `bisect_bracket`'s last bracket: the reference the
+    tree walk of `distributions._bisect_root` must match."""
+    lo, hi = bisect_bracket(residual, lo, hi, flo, tol)
     return 0.5 * (lo + hi)
 
 

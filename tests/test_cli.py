@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contest_eq import equilibria
+from contest_eq import cli, equilibria
 from contest_eq.cli import (ParseError, RunConfig, ValidationError, main,
                             parse_config, run_command)
 
@@ -204,6 +204,48 @@ def test_csv_output_is_byte_stable(tmp_path):
         cfg.command = "solve"
         assert run_command(cfg) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _cell_reference(x):
+    """A cell's text as the one-call-per-cell writer formatted it."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".12g")
+
+
+def test_csv_writer_formats_a_column_at_a_time_as_cell_by_cell(tmp_path):
+    # every cell kind the commands write, in float columns, mixed columns
+    # and text columns that need quoting
+    rows = [[math.inf, "a, \"quoted\" text", 1, np.float64(-0.0), None],
+            [-math.inf, "plain", np.int64(7), math.nan, 0.1 + 0.2],
+            [np.float64(1e300), "", True, np.float64(-math.inf), 3],
+            [-0.0, None, 2.5, np.float64(math.nan), "error: x, y"],
+            [np.float64(1.0) / 3.0, "x", -1, 1e-320, np.float32(0.1)]]
+    header = ["a", "b", "c", "d", "e"]
+    out = tmp_path / "new.csv"
+    cli._write_csv(str(out), header, rows)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell_reference(x) for x in row])
+    assert out.read_bytes() == ref.read_bytes()
+    # a column of floats alone takes the one-map path
+    floats = [[x] for x in (math.inf, -math.inf, math.nan, -0.0,
+                            np.float64(2.0 / 3.0), 1e300)]
+    cli._write_csv(str(out), ["x"], floats)
+    assert out.read_text().splitlines() == [
+        "x", "inf", "-inf", "nan", "-0", "0.666666666667", "1e+300"]
+    with pytest.raises(ValueError):
+        cli._write_csv(str(out), ["x"], [[1.0], [1.0, 2.0]])
 
 
 def test_cli_set_overrides(tmp_path):

@@ -1,9 +1,10 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contest_eq import (ALWAYS_SUBMIT, NoConvergence, NoRoot, Normal,
                         NoExclusion, RejectionExclusion, SignalExclusion,
@@ -267,12 +268,65 @@ def test_tree_bisection_takes_the_single_steps(lo, width, at, log_tol, kind,
                                for i in range(0, steps, levels))
 
 
-def test_exclusion_solve_makes_six_sign_calls_and_one_clearing_call(
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-12, 1e3), st.floats(0.0, 1.0),
+       st.floats(-15.0, 1.0), st.sampled_from(["step", "smooth"]),
+       st.sampled_from([1.0, -1.0]))
+# near 1e6 one float spacing exceeds the tolerance: windows collapse
+@example(1e6, 1.0, 0.3, -12.0, "step", 1.0)
+@example(1e6, 1.0, 0.3, -12.0, "smooth", -1.0)
+@example(0.0, 5.0, 0.71875, -3.65625, "step", 1.0)
+@example(512.0, 1.0, 1.0, -11.75, "step", 1.0)
+def test_secant_polish_ends_in_a_bracket_below_the_tolerance(lo, width, at,
+                                                             log_tol, kind,
+                                                             sign):
+    # the polish returns the midpoint of a final bracket narrower than the
+    # tolerance, whose ends differ in sign, in at most one residual call
+    # more than the tree walk
+    hi = lo + width
+    root = lo + at * width
+    tol = width * 10.0 ** log_tol
+
+    def scalar(q):
+        if kind == "step":
+            return sign * (-1.0 if q < root else 1.0)
+        return sign * (q - root) * (1.0 + (q - lo) * (q - lo))
+
+    batches = []
+
+    def batched(qs):
+        batches.append(qs.size)
+        return np.array([scalar(q) for q in qs])
+
+    flo, fhi = scalar(lo), scalar(hi)
+    assume((flo > 0.0) != (fhi > 0.0))
+    tree_walks = []
+    tree_walk = distributions._bisect_root
+
+    def recorded(residual, a, b, fa, tol):
+        tree_walks.append((a, b, fa))
+        return tree_walk(residual, a, b, fa, tol)
+
+    with mock.patch.object(equilibria, "_bisect_root", recorded):
+        polished = equilibria._secant_polish(batched, lo, hi, flo, fhi, tol)
+    (a, b, fa), = tree_walks
+    assert fa == scalar(a)
+    a, b = oracles.bisect_bracket(scalar, a, b, fa, tol)
+    assert polished == 0.5 * (a + b)
+    assert (scalar(a) > 0.0) != (scalar(b) > 0.0)
+    # up to the rounding of the midpoints and of the step count's log2
+    assert b - a <= tol * (1.0 + 1e-12) + np.spacing(abs(a) + abs(b))
+    steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
+    assert len(batches) <= math.ceil(steps / distributions.TREE_LEVELS) + 1
+
+
+def test_exclusion_solve_makes_three_sign_calls_and_one_clearing_call(
         model_v50, monkeypatch):
-    # the root search walks the sign residual: one scan call and five tree
-    # calls for the 26 polish steps of its one bracket; market clearing
-    # runs once, in the root pass at the polished roots, where one checked
-    # Newton step clears without the bracketed kernel
+    # the root search walks the sign residual: one scan call and two secant
+    # window calls polish its one bracket, the second ending in a window
+    # narrower than the tolerance; market clearing runs once, in the root
+    # pass at the polished roots, where one checked Newton step clears
+    # without the bracketed kernel
     calls = {}
 
     def counted(name):
@@ -288,7 +342,7 @@ def test_exclusion_solve_makes_six_sign_calls_and_one_clearing_call(
         counted(name)
     out = solve_exclusion(model_v50)
     assert abs(out.cutoff - V50_Q1) < 1e-6
-    assert calls == {"_sign_residuals": 6, "_root_pass": 1}
+    assert calls == {"_sign_residuals": 3, "_root_pass": 1}
 
 
 @pytest.mark.parametrize("policy", EVERY_POLICY.values(), ids=EVERY_POLICY)
@@ -308,14 +362,15 @@ def test_model_b_root_pass_clears_without_the_kernel(model_v50, monkeypatch,
     assert abs(out.sbar - core.signal_cutoff(out.profile, model_v50)) < 1e-13
 
 
-# orthant evaluations of one model-B solve: one per scan row and tree
-# point (two with a signal ban's own mass), plus the clearing solve at the
-# root; clearing every scan row costs ten times as many
+# orthant evaluations of one model-B solve: the two-tail screen leaves an
+# orthant to the scan rows near the root (and to a signal ban's own mass on
+# every row), to the secant windows and to the clearing at the root; one
+# orthant per scan row cost 2,259 (4,517 with a signal ban) in six sign calls
 @pytest.mark.parametrize("policy, bound", [
-    (NoExclusion(), 2_500), (RejectionExclusion(1), 2_500),
-    (RejectionExclusion(5), 2_500), (SignalExclusion(0.0), 5_000)],
+    (NoExclusion(), 800), (RejectionExclusion(1), 800),
+    (RejectionExclusion(5), 800), (SignalExclusion(0.0), 2_700)],
     ids=["benchmark", "exclusion", "t5", "signal_0"])
-def test_model_b_solve_evaluates_about_one_orthant_per_scan_row(
+def test_model_b_solve_screens_most_scan_rows_from_the_orthant(
         model_v50, monkeypatch, policy, bound):
     real = core._normal_orthant
     evaluated = []
@@ -324,9 +379,18 @@ def test_model_b_solve_evaluates_about_one_orthant_per_scan_row(
         evaluated.append(np.broadcast(h, k).size)
         return real(h, k, rho, r)
 
+    sign_calls = []
+    real_sign = equilibria._sign_residuals
+
+    def counted_sign(*args):
+        sign_calls.append(1)
+        return real_sign(*args)
+
     monkeypatch.setattr(core, "_normal_orthant", counted)
+    monkeypatch.setattr(equilibria, "_sign_residuals", counted_sign)
     policy.solve(model_v50)
-    assert equilibria.GRID_POINTS < sum(evaluated) <= bound
+    assert sum(evaluated) <= bound
+    assert len(sign_calls) <= 4
 
 
 def test_empty_scan_interval_raises_before_any_residual_call(monkeypatch):

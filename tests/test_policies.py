@@ -191,6 +191,27 @@ def test_sign_residual_has_the_sign_of_the_clearing_residual(params, policy):
     assert np.array_equal(sign[~interior], resid[~interior])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(models(), st.just(mixture_model)), policies)
+def test_screened_sign_residual_is_the_orthant_sign(params, policy):
+    """On every interior cutoff grid row the screened sign residual has the
+    sign of k less the clearing mass at s* by the orthant, and wherever the
+    two-tail bounds leave that sign in doubt it is that value bit for bit.
+    """
+    f, noise, k = params.quality, params.noise, params.budget
+    grid = _cutoff_grid(params)
+    sign = _sign_residuals(params, policy, grid)
+    _, elig, interior, s_star = equilibria._indifferent_threshold(
+        params, policy, grid)
+    exact = k - elig * core._upper_mass(f, grid, noise, s_star)
+    lower, upper = core._upper_mass_bounds(f, grid, noise, s_star)
+    margin = equilibria._SCREEN_MARGIN
+    doubt = interior & ~(elig * lower - k > margin) \
+        & ~(k - elig * upper > margin)
+    assert np.array_equal(np.sign(sign[interior]), np.sign(exact[interior]))
+    assert sign[doubt].tobytes() == exact[doubt].tobytes()
+
+
 def _polished_roots(params, policy):
     try:
         return equilibria._scan_roots(params, policy)
