@@ -14,11 +14,11 @@ import numpy as np
 
 from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
                    _upper_mass, evaluate_success, truncated_profile)
-from .distributions import _bisect_root
+from .distributions import RejectedValue, _bisect_root
 from .equilibria import NoConvergence, NoRoot, solve_benchmark, solve_typed
 
 # what a sweep records inline; anything else is a programming error
-_SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, ValueError)
+_SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, RejectedValue)
 
 # cumulative and pointwise differences within this slack count as ties
 _SLACK = 1e-9

@@ -28,7 +28,7 @@ from .analysis import (_SOLVER_ERRORS, compare_winners, first_best, sweep,
                        winner_density)
 from .core import (ModelParams, NoExclusion, RejectionExclusion,
                    SignalExclusion, TypeMix, normal_model)
-from .distributions import Normal
+from .distributions import Normal, RejectedValue
 from .equilibria import (_outcome, equilibrium_curves, solve_benchmark,
                          solve_exclusion, solve_multi_period, solve_two_type,
                          solve_typed)
@@ -151,7 +151,7 @@ def parse_config(text, overrides=()):
             if key in model})
         sim_cfg = SimConfig(seed=sim.get("seed"), **{
             key: sim[key] for key in _SIM_ARGS if key in sim})
-    except ValueError as exc:  # e.g. a non-finite value, k >= 1, seed < 0
+    except RejectedValue as exc:  # e.g. a non-finite value, k >= 1, seed < 0
         raise ValidationError(str(exc)) from exc
 
     regime = policy.get("regime", "benchmark")
@@ -163,7 +163,7 @@ def parse_config(text, overrides=()):
                     "signal_cutoff": SignalExclusion(
                         policy.get("sbar_ban", -math.inf)),
                     "two_type": RejectionExclusion(1)}
-    except ValueError as exc:
+    except RejectedValue as exc:
         raise ValidationError(f"[policy] {exc}") from exc
     if regime not in policies:
         raise ValidationError(f"unknown regime {regime!r}")

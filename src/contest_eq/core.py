@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 from .distributions import (TRUNCATION_SIGMAS, Mixture, Normal,
-                            ScalarDistribution)
+                            RejectedValue, ScalarDistribution)
 
 # Entry cutoffs are extended reals: comparisons and cdf evaluation are the
 # only operations ever applied to the infinite values.
@@ -49,7 +49,7 @@ class TypeMix:
 
     def __post_init__(self):
         if not 0.0 < self.share <= 1.0:
-            raise ValueError("type share must lie in (0, 1]")
+            raise RejectedValue("type share must lie in (0, 1]")
         _require_normal("type quality", self.quality)
 
 
@@ -79,24 +79,24 @@ class ModelParams:
     def __post_init__(self):
         if not (0.0 < self.win_value < math.inf
                 and 0.0 < self.reject_cost < math.inf):
-            raise ValueError("win_value and reject_cost must be positive "
-                             "and finite")
+            raise RejectedValue("win_value and reject_cost must be positive "
+                                "and finite")
         if not 0.0 < self.budget < 1.0:
-            raise ValueError("budget k must lie in (0, 1)")
+            raise RejectedValue("budget k must lie in (0, 1)")
         if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount delta must lie in (0, 1)")
+            raise RejectedValue("discount delta must lie in (0, 1)")
         _require_normal("noise", self.noise)
         if self.types is not None:
             types = tuple(self.types)
             total = sum(t.share for t in types)
             if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"type shares must sum to 1, got {total}")
+                raise RejectedValue(f"type shares must sum to 1, got {total}")
             object.__setattr__(self, "types", types)
             # the population quality density is always the type mixture
             object.__setattr__(
                 self, "quality", Mixture([(t.share, t.quality) for t in types]))
         elif self.quality is None:
-            raise ValueError("quality distribution required without types")
+            raise RejectedValue("quality distribution required without types")
         else:
             _require_normal("quality", self.quality)
 
@@ -431,7 +431,7 @@ class RejectionExclusion:
 
     def __post_init__(self):
         if not (self.periods >= 1 and float(self.periods).is_integer()):
-            raise ValueError("ban length must be a positive integer")
+            raise RejectedValue("ban length must be a positive integer")
         object.__setattr__(self, "periods", int(self.periods))  # 2.0: t=2
 
     @property
@@ -469,7 +469,9 @@ class RejectionExclusion:
         d = params.discount
         return reject * ((1.0 - d ** self.periods) / (1.0 - d))
 
-    def banned(self, submit, signal, rejected):
+    def banned(self, signal, rejected):
+        """Which submissions, given their signals and whether each was
+        rejected, start a ban."""
         return rejected
 
 
@@ -483,7 +485,7 @@ class SignalExclusion:
 
     def __post_init__(self):
         if math.isnan(self.sbar):
-            raise ValueError("sbar_ban must be a number or +-inf")
+            raise RejectedValue("sbar_ban must be a number or +-inf")
 
     @property
     def regime(self):
@@ -516,8 +518,8 @@ class SignalExclusion:
     def payoff_ban(self, reject, ban, params):
         return ban
 
-    def banned(self, submit, signal, rejected):
-        return submit & (signal < self.sbar)
+    def banned(self, signal, rejected):
+        return signal < self.sbar
 
     def _trigger(self, cutoff, noise):
         """Chance that the marginal quality's signal falls below the bar."""

@@ -18,7 +18,15 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 
-class OutOfRange(ValueError):
+class RejectedValue(ValueError):
+    """A value outside the model's domain: a model, type or distribution
+    parameter, a ban length or signal bar, a simulation setting, or a
+    probability.  Solver failures and these are what a sweep records and
+    the command line reports; any other ValueError is a programming
+    error."""
+
+
+class OutOfRange(RejectedValue):
     """Probability argument outside the open unit interval."""
 
 
@@ -162,9 +170,9 @@ class Normal(ScalarDistribution):
 
     def __init__(self, mean, variance):
         if not 0.0 < variance < math.inf:
-            raise ValueError("variance must be positive and finite")
+            raise RejectedValue("variance must be positive and finite")
         if not math.isfinite(mean):
-            raise ValueError("mean must be finite")
+            raise RejectedValue("mean must be finite")
         self.mean = float(mean)
         self.variance = float(variance)
         self.stddev = math.sqrt(self.variance)
@@ -199,9 +207,9 @@ class Mixture(ScalarDistribution):
         parts = tuple((float(w), d) for w, d in parts)
         total = sum(w for w, _ in parts)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {total}")
+            raise RejectedValue(f"mixture weights must sum to 1, got {total}")
         if any(w <= 0 for w, _ in parts):
-            raise ValueError("mixture weights must be positive")
+            raise RejectedValue("mixture weights must be positive")
         self.parts = parts
         self.mean = sum(w * d.mean for w, d in parts)
         m2 = sum(w * (d.stddev ** 2 + d.mean ** 2) for w, d in parts)

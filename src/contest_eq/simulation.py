@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .core import RejectionExclusion
+from .distributions import RejectedValue
 
 # bins of the post-burn-in winner-quality histogram over the quality support
 HIST_BINS = 200
@@ -41,11 +43,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.seed is not None and not 0 <= self.seed < 2**128:
-            raise ValueError("seed must lie in [0, 2**128)")
+            raise RejectedValue("seed must lie in [0, 2**128)")
         if self.n_agents < 1000:
-            raise ValueError("need at least 1000 agents")
+            raise RejectedValue("need at least 1000 agents")
         if not 0 <= self.burn_in < self.n_periods:
-            raise ValueError("burn_in must be smaller than n_periods")
+            raise RejectedValue("burn_in must be smaller than n_periods")
 
 
 @dataclass(frozen=True)
@@ -74,17 +76,21 @@ def _period_rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
+def _counter_dtype(low, high):
+    """Smallest signed integer dtype that holds both `low` and `high`."""
+    return np.result_type(np.min_scalar_type(low), np.min_scalar_type(high))
+
+
 def _type_layout(params, n_agents):
-    """Deterministic assignment of agents to types (contiguous blocks)."""
+    """Deterministic assignment of agents to types: contiguous blocks,
+    returned as slices."""
     if params.types is None:
-        return [np.arange(n_agents)], (1.0,)
+        return [slice(0, n_agents)], (1.0,)
     counts = [int(round(t.share * n_agents)) for t in params.types]
     counts[-1] = n_agents - sum(counts[:-1])
-    idx, start = [], 0
-    for c in counts:
-        idx.append(np.arange(start, start + c))
-        start += c
-    return idx, tuple(t.share for t in params.types)
+    ends = np.cumsum(counts).tolist()
+    return ([slice(end - c, end) for c, end in zip(counts, ends)],
+            tuple(t.share for t in params.types))
 
 
 def run_simulation(config, params):
@@ -97,30 +103,38 @@ def run_simulation(config, params):
     applicants (or, under a signal policy, applicants whose signal fell below
     the policy bar) sit out the policy's ban length.  Deterministic given
     the seed.
+
+    Every agent's two normals are drawn each period, so the draw stream is
+    fixed by (seed, period, agent); everything after the entry decision
+    works on the index array of that period's submitters.
     """
     if config.seed is None:
-        raise ValueError("a simulation needs an explicit seed")
+        raise RejectedValue("a simulation needs an explicit seed")
     n = config.n_agents
     budget_slots = int(math.floor(params.budget * n))
+    if budget_slots < 1:
+        raise RejectedValue(f"a budget of {params.budget:g} funds no one of "
+                            f"{n} agents")
     t_ban = config.policy.ban_periods
-    type_idx, type_shares = _type_layout(params, n)
-    n_types = len(type_idx)
+    blocks, type_shares = _type_layout(params, n)
+    n_types = len(blocks)
     if len(config.cutoffs) != n_types:
-        raise ValueError("one cutoff per type required")
+        raise RejectedValue("one cutoff per type required")
 
-    type_of = np.empty(n, dtype=np.int64)
-    for i, idx in enumerate(type_idx):
-        type_of[idx] = i
-    cut = np.array([config.cutoffs[i] for i in range(n_types)])[type_of]
+    cut = np.empty(n)
+    for c, block in zip(config.cutoffs, blocks):
+        cut[block] = c
 
-    ban_left = np.zeros(n, dtype=np.int32)
+    # periods left to serve, counted down every period: eligible at <= 0
+    ban_left = np.zeros(n, dtype=_counter_dtype(-config.n_periods, t_ban))
     if config.initial_eligibility is not None and t_ban > 0:
-        for i, idx in enumerate(type_idx):
+        for i, block in enumerate(blocks):
+            size = block.stop - block.start
             frac = config.initial_eligibility[i] / type_shares[i]
-            n_banned = int(round((1.0 - min(frac, 1.0)) * idx.size))
+            n_banned = int(round((1.0 - min(frac, 1.0)) * size))
             if n_banned > 0:
-                sel = idx[np.round(np.linspace(0, idx.size - 1,
-                                               n_banned)).astype(int)]
+                sel = block.start + np.round(
+                    np.linspace(0, size - 1, n_banned)).astype(int)
                 ban_left[sel] = 1 + (np.arange(n_banned) % t_ban)
 
     hist_edges = np.linspace(*params.quality.support_hint, HIST_BINS + 1)
@@ -139,44 +153,55 @@ def run_simulation(config, params):
     type_dists = [params.types[i].quality if params.types else params.quality
                   for i in range(n_types)]
 
+    z = np.empty(n)
+    quality = np.empty(n)
+    eligible = np.empty(n, dtype=bool)
+    submit = np.empty(n, dtype=bool)
     for p in range(config.n_periods):
         rng = _period_rng(config.seed, p)
-        # per-agent-per-period substreams: draw for everyone, mask later;
+        # per-agent-per-period substreams: draw for everyone, select later;
         # the draw order (quality z, then noise) is fixed
-        quality = np.empty(n)
-        z = rng.standard_normal(n)
-        for dist, idx in zip(type_dists, type_idx):
-            quality[idx] = dist.mean + dist.stddev * z[idx]
-        noise = noise_mean + sigma_noise * rng.standard_normal(n)
+        rng.standard_normal(out=z)
+        for dist, block in zip(type_dists, blocks):
+            np.multiply(z[block], dist.stddev, out=quality[block])
+            quality[block] += dist.mean
+        rng.standard_normal(out=z)  # the noise draws
 
-        eligible = ban_left == 0
-        elig_traj[p] = eligible.mean()
-        for i, idx in enumerate(type_idx):
-            elig_by_type[p, i] = eligible[idx].sum() / n
+        np.less_equal(ban_left, 0, out=eligible)
+        elig_traj[p] = np.count_nonzero(eligible) / n
+        for i, block in enumerate(blocks):
+            elig_by_type[p, i] = np.count_nonzero(eligible[block]) / n
 
-        submit = eligible & (quality >= cut)
-        n_sub = int(submit.sum())
+        np.greater_equal(quality, cut, out=submit)
+        submit &= eligible
+        sub = np.flatnonzero(submit)
+        n_sub = sub.size
         volumes[p] = n_sub / n
-        signals = np.where(submit, quality + noise, -math.inf)
+        sub_quality = quality[sub]
+        signals = sub_quality + (noise_mean + sigma_noise * z[sub])
 
         if n_sub > budget_slots:
-            kth = np.partition(signals, n - budget_slots)[n - budget_slots]
-            funded = submit & (signals >= kth)
+            # the same order statistic as over all n agents with -inf
+            # standing in for the n - n_sub who did not submit
+            kth = np.partition(signals, n_sub - budget_slots)[
+                n_sub - budget_slots]
+            rejected = signals < kth
             thresholds[p] = kth
         else:
-            funded = submit
-        n_funded = int(funded.sum())
+            rejected = np.zeros(n_sub, dtype=bool)
+        n_rejected = np.count_nonzero(rejected)
+        n_funded = n_sub - n_rejected
         funded_vols[p] = n_funded / n
-        rejected = submit & ~funded
         welfare_flow[p] = (n_funded * params.win_value
-                           - int(rejected.sum()) * params.reject_cost) / n
+                           - n_rejected * params.reject_cost) / n
 
         if p >= config.burn_in:
-            hist_counts += np.histogram(quality[funded], bins=hist_edges)[0]
+            hist_counts += np.histogram(sub_quality[~rejected],
+                                        bins=hist_edges)[0]
 
-        ban_left = np.maximum(ban_left - 1, 0)
+        ban_left -= 1
         if t_ban > 0:
-            ban_left[config.policy.banned(submit, signals, rejected)] = t_ban
+            ban_left[sub[config.policy.banned(signals, rejected)]] = t_ban
 
     tail = slice(config.burn_in, None)
     periods_counted = config.n_periods - config.burn_in
@@ -205,11 +230,25 @@ def empirical_best_response(config, params, candidate_grid, result=None,
     Replays the recorded post-burn-in funding thresholds of a population run
     (one deviator cannot move the market) and estimates the discounted
     lifetime payoff of each candidate cutoff by Monte Carlo over
-    `replications` agent lifetimes with common random numbers across
-    candidates.  Returns the argmax candidate.
+    `replications` agent lifetimes, with common random numbers across
+    candidates.  Returns the argmax candidate and the payoff estimates.
+
+    Each step an eligible lifetime whose quality draw q reaches a candidate
+    cutoff submits.  It is credited the expected flow of that submission
+    given q, disc * ((V + C) * Phi((q + mu_e - sbar_t) / sd_e) - C), with
+    the review noise integrated out, instead of the realized win or loss.
+    The ban that the submission triggers is still sampled from the step's
+    noise draw.  Eligibility at step t does not depend on step t's noise,
+    so by the tower property the estimate stays unbiased, and it has less
+    variance (Rao-Blackwell over the review noise).
+
+    The state is laid out candidates x replications: a ban counter that
+    counts down every step (eligible at <= 0) and a boolean submit matrix,
+    whose product with the flow vector adds one step to every candidate's
+    payoff sum.
     """
     if config.seed is None:
-        raise ValueError("a simulation needs an explicit seed")
+        raise RejectedValue("a simulation needs an explicit seed")
     if result is None:
         result = run_simulation(config, params)
     thresholds = result.funding_thresholds[config.burn_in:]
@@ -221,35 +260,38 @@ def empirical_best_response(config, params, candidate_grid, result=None,
     grid = np.asarray(candidate_grid, dtype=float)
     n_cand = grid.size
 
-    dist = params.quality
-    payoff = np.zeros((replications, n_cand))
-    ban = np.zeros((replications, n_cand), dtype=np.int32)
-    # the per-step masks reuse three buffers: fresh replications x
-    # candidates temporaries would map new pages on every step
-    submit, win, lose = (np.empty((replications, n_cand), dtype=bool)
-                         for _ in range(3))
+    dist, noise = params.quality, params.noise
+    gain = params.win_value + params.reject_cost
+    total = np.zeros(n_cand)
+    ban = np.zeros((n_cand, replications),
+                   dtype=_counter_dtype(-horizon, t_ban))
+    ban_len = ban.dtype.type(t_ban)
+    # per-step buffers: fresh candidates x replications temporaries would
+    # map new pages on every step
+    submit, above = (np.empty((n_cand, replications), dtype=bool)
+                     for _ in range(2))
+    new_ban = np.empty_like(ban) if t_ban > 0 else None
     disc = 1.0
     for step in range(horizon):
         rng = _period_rng(config.seed ^ 0x9E3779B97F4A7C15, step)
-        q = dist.sample(rng, replications)[:, None]
-        s = q + params.noise.mean \
-            + params.noise.stddev * rng.standard_normal(replications)[:, None]
+        q = dist.sample(rng, replications)
         sbar = thresholds[step % n_thresh]
-        np.equal(ban, 0, out=win)  # eligible
-        np.greater_equal(q, grid[None, :], out=submit)
-        np.logical_and(submit, win, out=submit)
-        np.logical_and(submit, s >= sbar, out=win)
-        np.logical_xor(submit, win, out=lose)
-        np.add(payoff, disc * params.win_value, out=payoff, where=win)
-        np.subtract(payoff, disc * params.reject_cost, out=payoff, where=lose)
-        np.greater(ban, 0, out=win)  # serving periods; win is spent
-        np.subtract(ban, 1, out=ban, where=win)
+        flow = disc * (gain * ndtr((q + noise.mean - sbar) / noise.stddev)
+                       - params.reject_cost)
+        np.less_equal(ban, 0, out=submit)
+        np.greater_equal(q, grid[:, None], out=above)
+        submit &= above
+        total += submit @ flow
+        ban -= 1
         if t_ban > 0:
-            np.copyto(ban, t_ban,
-                      where=config.policy.banned(submit, s, lose))
+            s = q + noise.mean + noise.stddev * rng.standard_normal(
+                replications)
+            trigger = config.policy.banned(s, s < sbar)
+            np.multiply(submit, trigger * ban_len, out=new_ban)
+            np.maximum(ban, new_ban, out=ban)
         disc *= params.discount
 
-    mean_payoff = payoff.mean(axis=0)
+    mean_payoff = total / replications
     return float(grid[int(np.argmax(mean_payoff))]), mean_payoff
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from contest_eq import (NoExclusion, RejectionExclusion, SignalExclusion,
-                        compare_winners, first_best, normal_model,
-                        solve_benchmark, solve_signal_cutoff,
+from contest_eq import (Mixture, NoExclusion, Normal, RejectedValue,
+                        RejectionExclusion, SignalExclusion, SimConfig,
+                        TypeMix, compare_winners, equilibria, first_best,
+                        normal_model, solve_benchmark, solve_signal_cutoff,
                         steady_state_profile, sweep, truncated_profile,
                         winner_density)
 
@@ -161,6 +162,35 @@ def test_sweep_records_failures_inline(model_v50):
     assert entries[0].error is None
     assert entries[1].outcome is None
     assert "budget" in entries[1].error
+
+
+@pytest.mark.parametrize("make", [
+    lambda: normal_model(budget=1.5),
+    lambda: normal_model(win_value=math.nan),
+    lambda: TypeMix(1.5, Normal(0.0, 1.0)),
+    lambda: Normal(0.0, -1.0),
+    lambda: Mixture([(0.5, Normal(0.0, 1.0))]),
+    lambda: RejectionExclusion(2.5),
+    lambda: SignalExclusion(math.nan),
+    lambda: SimConfig(seed=1, n_agents=10),
+    lambda: Normal(0.0, 1.0).quantile(1.5),
+])
+def test_model_rejections_raise_one_typed_error(make):
+    # the one ValueError subclass that a sweep records inline
+    with pytest.raises(RejectedValue):
+        make()
+
+
+def test_a_broadcast_error_propagates_out_of_sweep(model_v20, monkeypatch):
+    # a ValueError from a bug is no solver failure: the sweep must not
+    # record it as one
+    def broken(*args, **kwargs):
+        return np.zeros(3) + np.zeros(2)
+
+    monkeypatch.setattr(equilibria, "_root_pass", broken)
+    with pytest.raises(ValueError, match="broadcast") as info:
+        sweep(model_v20, "t", [1, 5])
+    assert not isinstance(info.value, RejectedValue)
 
 
 def test_fractional_ban_length_is_an_inline_error(model_v20):

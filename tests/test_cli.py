@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -506,6 +507,36 @@ def test_type_block_solves_and_simulates_under_every_regime(tmp_path, policy):
                    - float(row[f"eligibility{suffix}"])) < 0.01
 
 
+# sha256 of (simulate CSV, summary CSV) per shipped config at seed 7, 5000
+# agents, 60 periods and a burn-in of 10
+SIMULATE_SHA256 = {
+    "ban_length.ini": (
+        "748fc74a52f7b953e2b488bf5dcd1d09a26fcb72a2ca55b7b7ba2801627d2aa6",
+        "a3b53ed79217165a9def4a0c6be4198bdf96f8cb2097b7342372eddb909da897"),
+    "free_entry.ini": (
+        "9aeac3e0ceaba55b74a4a90d70db01b7ec68932e005f7b12a9753f46068434b1",
+        "7f9960cfd414961f400f5397f44791eb0de3884845a328e726a4f288a610f8d1"),
+    "one_period_bans.ini": (
+        "b181a70529a7a020a8cda02aaea7554fe49e54db63c89a3280f060dc9c5fcb36",
+        "c9eb3352fc0d348af02e817b0948a1275ab0a6acfee46ae52193be59373a3dc0"),
+    "two_type.ini": (
+        "9e368098ec92735725f3139a5219bc0bfd1d17c7c89194347aecfd78d5ee2ec2",
+        "9463b06c701467c9531c4c0a4893e0428fd80920652b97f1947ae7e93456a507"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+def test_simulate_csvs_are_pinned(name, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(CONFIGS / name),
+                 "--out", str(out), "--set", "sim.seed=7",
+                 "--set", "sim.n_agents=5000", "--set", "sim.n_periods=60",
+                 "--set", "sim.burn_in=10"]) == 0
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (out, tmp_path / "out_summary.csv"))
+    assert got == SIMULATE_SHA256[name]
+
+
 def test_fractional_ban_length_sweep_fails_inline(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(CONFIGS / "ban_length.ini"),
@@ -524,6 +555,20 @@ def test_programming_errors_propagate(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="broken solver"):
         main(["solve", "--config", str(CONFIGS / "free_entry.ini"),
               "--out", str(tmp_path / "o.csv")])
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_a_broadcast_error_propagates_out_of_main(command, tmp_path,
+                                                  monkeypatch, capsys):
+    # only values the model rejects and solver failures become exit codes
+    def broken(*args, **kwargs):
+        return np.zeros(3) + np.zeros(2)
+
+    monkeypatch.setattr(equilibria, "_root_pass", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main([command, "--config", str(CONFIGS / "ban_length.ini"),
+              "--out", str(tmp_path / "o.csv")])
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from contest_eq import (NEVER_SUBMIT, Normal, RejectionExclusion,
-                        SignalExclusion, SimConfig, TypeMix,
-                        empirical_best_response, normal_model, run_simulation,
+from contest_eq import (NEVER_SUBMIT, NoExclusion, Normal, RejectedValue,
+                        RejectionExclusion, SignalExclusion, SimConfig,
+                        SuccessEvaluation, TypeMix, empirical_best_response,
+                        lifetime_payoff, normal_model, run_simulation,
                         solve_multi_period, solve_signal_cutoff,
                         solve_two_type, trend_statistic)
 from reference import V50_ALPHA1, V50_Q1
@@ -48,13 +50,51 @@ def test_draw_stream_is_pinned(model_v50):
     assert float(res.mean_eligibility[0]).hex() == "0x1.653198288051dp-1"
     assert float(res.mean_welfare_per_period).hex() == "0x1.2ca4c1ebc83aap+2"
     assert float(res.funding_thresholds.sum()).hex() == "0x1.354be3e5beab7p+7"
+    # the replay credits the expected flow given each quality draw, with
+    # the review noise integrated out, so its payoffs are pinned to that
+    # estimator
     grid = V50_Q1 + np.arange(-5, 6) * 0.1
     best, payoffs = empirical_best_response(cfg, model_v50, grid, result=res,
                                             replications=2000)
     assert best == grid[4]
     assert [float(payoffs[i]).hex() for i in (0, 5, 10)] == [
-        "0x1.3cf5153f4c327p+7", "0x1.43297b6fe096cp+7",
-        "0x1.39d033821e01bp+7"]
+        "0x1.3946db3686e51p+7", "0x1.3eae8b70b0558p+7",
+        "0x1.353e20ab4a34dp+7"]
+
+
+def _result_sha256(res):
+    """sha256 of every SimResult field's float64 bytes, in field order."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(res):
+        h.update(f.name.encode())
+        h.update(np.ascontiguousarray(getattr(res, f.name),
+                                      dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_signal_policy_run_is_pinned(model_v50):
+    # the signal ban trigger reads the submitters' signals
+    cfg = SimConfig(seed=2025, policy=SignalExclusion(0.0), cutoffs=(1.0,),
+                    n_agents=5000, n_periods=60, burn_in=10,
+                    initial_eligibility=(0.8,))
+    res = run_simulation(cfg, model_v50)
+    assert float(res.mean_welfare_per_period).hex() == "0x1.37d577963992dp+2"
+    assert _result_sha256(res) == (
+        "cc41c115251c0cad8394e1f8f82393c05f4e9e168877d3d26bd88915521d9f37")
+
+
+def test_two_type_ban_run_is_pinned():
+    # two type blocks, per-type eligibility counts and a five-period ban
+    # set on a subset of the agents
+    types = (TypeMix(0.5, Normal(0.5, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
+    p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
+                     budget=0.1, discount=0.97, types=types)
+    cfg = SimConfig(seed=2026, policy=RejectionExclusion(5),
+                    cutoffs=(1.3, 1.1), n_agents=5000, n_periods=60,
+                    burn_in=10, initial_eligibility=(0.3, 0.3))
+    res = run_simulation(cfg, p)
+    assert _result_sha256(res) == (
+        "9ef9fcff7415d9b79a006410f91a5b43b79b2ea7abb63d13191847760d1e32a4")
 
 
 def test_nobody_submits_with_infinite_cutoff(model_v50):
@@ -169,11 +209,45 @@ def test_empirical_best_response_undersubscribed_prefers_entry(model_v50):
     assert np.all(np.diff(payoffs) <= 1e-9)
 
 
+@pytest.mark.parametrize("noise_mean", [0.0, -0.5])
+@pytest.mark.parametrize("policy", [NoExclusion(), RejectionExclusion(1),
+                                    RejectionExclusion(5),
+                                    SignalExclusion(0.0)], ids=repr)
+def test_empirical_best_response_is_unbiased(model_v20, policy, noise_mean):
+    # against a constant funding threshold the lifetime payoff is closed
+    # form, so the replay's mean over seeds must sit within 5 standard
+    # errors of it for every candidate (horizon 128 at delta = 0.85)
+    params = dataclasses.replace(model_v20, noise=Normal(noise_mean, 1.0))
+    out = policy.solve(params)
+    cfg = SimConfig(seed=0, policy=policy, cutoffs=(out.cutoff,),
+                    n_agents=1000, n_periods=20, burn_in=10)
+    res = run_simulation(cfg, params)
+    res = dataclasses.replace(
+        res, funding_thresholds=np.full(cfg.n_periods, out.sbar))
+    grid = out.cutoff + np.arange(-5, 6) * 0.2
+    runs = np.array([
+        empirical_best_response(dataclasses.replace(cfg, seed=seed), params,
+                                grid, result=res, replications=2000)[1]
+        for seed in range(1, 11)])
+    exact = lifetime_payoff(grid, SuccessEvaluation(out.sbar, params.noise),
+                            params, policy)
+    se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+    assert np.all(np.abs(runs.mean(axis=0) - exact) < 5 * se)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(seed=1, n_agents=10)
     with pytest.raises(ValueError):
         SimConfig(seed=1, n_periods=100, burn_in=100)
+
+
+def test_a_budget_that_funds_no_one_is_rejected(model_v50):
+    # floor(k * n) = 0 leaves no order statistic to fund at
+    p = dataclasses.replace(model_v50, budget=0.0005)
+    cfg = SimConfig(seed=1, n_agents=1000, n_periods=20, burn_in=5)
+    with pytest.raises(RejectedValue, match="funds no one"):
+        run_simulation(cfg, p)
 
 
 def test_seed_must_be_a_philox_key():
