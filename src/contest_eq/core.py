@@ -189,19 +189,18 @@ class SuccessEvaluation:
     """Review outcome of a submission profile.
 
     `sbar` is the market-clearing funding threshold (-inf when the contest is
-    under-subscribed and everything is funded); win_prob(q) is the chance a
-    quality-q submission clears it.
+    under-subscribed and everything is funded), or an array of finite ones;
+    win_prob(q) is the chance a quality-q submission clears it.
     """
 
     sbar: float
     noise: ScalarDistribution
 
     def win_prob(self, q):
-        if self.sbar == -math.inf:
-            q = np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=float)
+        if np.ndim(self.sbar) == 0 and self.sbar == -math.inf:
             out = np.ones_like(q)
             return out if out.ndim else 1.0
-        q = np.asarray(q, dtype=float)
         out = 1.0 - np.asarray(self.noise.cdf(self.sbar - q), dtype=float)
         return out if out.ndim else float(out)
 
@@ -373,8 +372,9 @@ def signal_cutoff(profile, params):
 
     Returns -inf when the volume of submissions does not exceed the budget
     (everything is funded).  Otherwise solves the clearing mass of all the
-    profile's components until the bracket is narrower than 1e-14, smooth
-    enough for the typed solver's finite-difference Jacobian.
+    profile's components until the bracket is narrower than 1e-14, the
+    stop that the winner densities `compare` and `figures` write were
+    computed with.
     """
     if profile.volume() <= params.budget + _BUDGET_EPS:
         return -math.inf

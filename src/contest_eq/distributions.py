@@ -64,14 +64,24 @@ def _bisect_root(residual, lo, hi, flo, tol):
     result, are bit for bit those of one step per call whenever a batch
     entry equals a single-point call; the calls drop to
     ceil(steps / TREE_LEVELS).
+
+    A batch of brackets (`lo`, `hi` and `flo` arrays of one shape, the
+    tree's points along a new first axis) walks its trees within about
+    4 x 2^TREE_LEVELS points per call, where cost follows points rather
+    than calls.  Each bracket takes its own steps, and a shallower tree is
+    the top of a deeper one, so each root is its one-bracket call's.
     """
-    steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
+    shape = np.shape(lo)
+    lo, hi = np.ravel(lo).tolist(), np.ravel(hi).tolist()
     # a step keeps the sign of the residual at its lower end
-    positive = flo > 0.0
-    for done in range(0, steps, TREE_LEVELS):
-        depth = min(TREE_LEVELS, steps - done)
+    positive = (np.ravel(flo) > 0.0).tolist()
+    steps = [math.ceil(math.log2(max(b - a, tol) / tol))
+             for a, b in zip(lo, hi)]
+    levels = max(1, TREE_LEVELS + 2 - max(2, (len(lo) - 1).bit_length()))
+    for done in range(0, max(steps, default=0), levels):
+        depth = min(levels, max(steps) - done)
         top = 2 ** depth
-        edges = np.empty(top + 1)
+        edges = np.empty((top + 1, len(lo)))
         edges[0], edges[top] = lo, hi
         # each level fills the midpoints of the brackets the one above left
         width = top
@@ -79,16 +89,21 @@ def _bisect_root(residual, lo, hi, flo, tol):
             edges[width // 2::width] = 0.5 * (edges[:-1:width]
                                               + edges[width::width])
             width //= 2
-        raise_lo = ((residual(edges[1:-1]) > 0.0) == positive).tolist()
-        a, b = 0, top
-        for _ in range(depth):
-            mid = (a + b) // 2
-            if raise_lo[mid - 1]:
-                a = mid
-            else:
-                b = mid
-        lo, hi = float(edges[a]), float(edges[b])
-    return 0.5 * (lo + hi)
+        above = (residual(edges[1:-1].reshape((top - 1,) + shape))
+                 > 0.0).reshape(top - 1, -1).T.tolist()
+        # each row walks its tree by edge index until its steps run out, in
+        # Python ints: ten times numpy's speed on one row, even on 32
+        brackets = []
+        for up, row, n, pos in zip(above, edges.T.tolist(), steps, positive):
+            a, width = 0, top
+            for _ in range(min(max(n - done, 0), depth)):
+                width //= 2
+                if up[a + width - 1] == pos:
+                    a += width
+            brackets.append((row[a], row[a + width]))
+        lo, hi = zip(*brackets)
+    root = 0.5 * (np.array(lo) + np.array(hi))
+    return root.reshape(shape) if shape else float(root[0])
 
 
 def integrate(f, lo, hi, support=None):

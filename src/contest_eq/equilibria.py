@@ -12,9 +12,9 @@ bracket with checked secant windows, and the bisection tree finishes
 where they stop.  One root pass then clears the market at all polished
 roots, each by one checked Newton step from the threshold the sign
 residual formed, and so checks the residual contract and describes every
-root's outcome.  A population of researcher types (a type block) is one joint
-root problem in every type's cutoff and eligible share under any policy
-(`solve_typed`), seeded by that policy's pooled steady state.
+root's outcome.  A population of researcher types (a type block) solves
+by the same scan and polish in the funding threshold, given which every
+type best-responds (`solve_typed`).
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ _WINDOW_RATIO = 4.0
 _SCREEN_MARGIN = 1e-13
 # every returned steady state meets its equilibrium residual to this level
 _RESIDUAL_CONTRACT = 1e-8
+# the typed scan's points (each a bisection per type) and roots' width
+_TYPED_GRID_POINTS = 32
+_TYPED_ROOT_TOL = 1e-10
 
 
 class NoRoot(RuntimeError):
@@ -60,8 +63,8 @@ class NoRoot(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """A solved root misses its residual contract (pooled or typed), or the
-    pooled steady state cannot seed the typed root; best_residual is the
+    """A solved root misses its residual contract (pooled or typed), or a
+    typed root gives a dominant type the lower cutoff; best_residual is the
     residual it reached."""
 
     def __init__(self, message, best_residual=None):
@@ -75,12 +78,12 @@ class EquilibriumOutcome:
 
     cutoffs/eligibility hold one entry per population type (one without a
     type block).  all_roots lists every sign-change root found by the scan,
-    smallest first; the canonical outcome is the smallest.  residual
-    re-evaluates the defining equation at the returned cutoff(s), and
-    profile is the recurrent submission profile they induce.  A pooled
-    solve also keeps root_clearing: the (eligibility, sbar, residual) of
-    each of all_roots from the one clearing pass at the roots (empty for
-    typed and corner outcomes).
+    smallest first (a typed root as its cutoffs); the canonical outcome is
+    the smallest.  residual re-evaluates the defining equation at the
+    returned cutoff(s), and profile is the recurrent submission profile
+    they induce.  A pooled solve also keeps root_clearing: the
+    (eligibility, sbar, residual) of each of all_roots from the one
+    clearing pass at the roots (empty for typed and corner outcomes).
     """
 
     regime: str
@@ -105,11 +108,8 @@ class EquilibriumOutcome:
 
 def steady_state_profile(params, cutoff, policy):
     """Recurrent submission profile induced by a common cutoff: the
-    time-invariant eligible share submits above it."""
-    F = params.quality.cdf(cutoff)
-    ban = policy.ban(F, lambda s: ban_mass(cutoff, s, params.quality,
-                                           params.noise))
-    elig = float(policy.eligibility(F, ban, params.budget))
+    time-invariant eligible share (`_steady_state`) submits above it."""
+    elig = float(_steady_state(params, policy, np.array([cutoff]))[1][0])
     return truncated_profile(params.quality, cutoff, elig)
 
 
@@ -291,33 +291,27 @@ def _secant_polish(residual, lo, hi, flo, fhi, tol):
     return _bisect_root(residual, lo, hi, flo, tol)
 
 
-def _scan_roots(params, policy):
-    """Global sign-change scan below the first-best cutoff, extending left
-    when the left edge indicates the smallest root lies below the grid.
-
-    The scan and the polish of every bracket read only the sign of the
-    residual, so both walk `_sign_residuals`: a two-tail screen and an
-    orthant only where it leaves the sign in doubt, and no clearing solve
-    until the caller checks the polished roots.  Exact zeros on the grid
-    are roots, and every bracket between nonzero values of opposite sign is
-    polished by checked secant windows, then the bisection tree
-    (`_secant_polish`), to a final bracket below _ROOT_TOL.  An empty scan
-    interval, the first-best cutoff at or below the grid floor, raises
-    NoRoot.
-    """
+def _cutoff_interval(params, floor_p=_GRID_FLOOR_P):
+    """(lo, hi, floor) array of the pooled scan: from the quality's floor_p
+    quantile to below the first-best cutoff, and 60 sd below the mean."""
     qstar = params.first_best_cutoff
-    lo = params.quality.quantile(_GRID_FLOOR_P)
-    hi = qstar - 1e-9 * (1.0 + abs(qstar))
-    if not hi > lo:
-        raise NoRoot("the first-best cutoff lies at or below the scan floor")
-    floor = params.quality.mean - 60.0 * params.quality.stddev
+    return np.array([params.quality.quantile(floor_p),
+                     qstar - 1e-9 * (1.0 + abs(qstar)),
+                     params.quality.mean - 60.0 * params.quality.stddev])
 
-    values = lambda g: _sign_residuals(params, policy, g)
-    grid = np.linspace(lo, hi, GRID_POINTS)
+
+def _scan_roots(values, lo, hi, floor, points, tol):
+    """Every root of `values` (a residual taking an array) on a grid of
+    `points` over [lo, hi], extended toward `floor` while its left edge
+    shows a smaller root: exact zeros, and each sign change polished by
+    `_secant_polish` below `tol`.  An empty interval raises NoRoot."""
+    if not hi > lo:
+        raise NoRoot("the scan interval is empty")
+    grid = np.linspace(lo, hi, points)
     vals = values(grid)
     while vals[0] > 0.0 and grid[0] > floor:
         ext_lo = max(grid[0] - (hi - grid[0]), floor)
-        ext = np.linspace(ext_lo, grid[0], max(GRID_POINTS // 4, 64))
+        ext = np.linspace(ext_lo, grid[0], points // 4)
         ext_vals = values(ext)
         grid = np.concatenate([ext[:-1], grid])
         vals = np.concatenate([ext_vals[:-1], vals])
@@ -328,7 +322,7 @@ def _scan_roots(params, policy):
     brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
     return sorted(grid[vals == 0.0].tolist()
                   + [float(_secant_polish(values, grid[i], grid[i + 1],
-                                          vals[i], vals[i + 1], _ROOT_TOL))
+                                          vals[i], vals[i + 1], tol))
                      for i in brackets])
 
 
@@ -348,8 +342,11 @@ def _solve_common(params, policy, hypothesis_met=True):
     once at all of them in one root pass (`_root_pass`): keep the interior
     ones and describe the smallest, recording every kept root's
     eligibility, threshold and residual from that pass; a smallest root
-    that misses the residual contract raises NoConvergence."""
-    roots = _scan_roots(params, policy)
+    that misses the residual contract raises NoConvergence.  The scan and
+    the polish walk the sign residual (`_sign_residuals`), which solves no
+    clearing."""
+    roots = _scan_roots(lambda g: _sign_residuals(params, policy, g),
+                        *_cutoff_interval(params), GRID_POINTS, _ROOT_TOL)
     resid, interior, sbar, elig = _root_pass(params, policy, roots)
     keep = np.nonzero(interior)[0]
     if not keep.size:
@@ -416,67 +413,72 @@ def solve_signal_cutoff(params, sbar_ban):
 # best responses
 
 
-def best_response(profile, params, policy):
-    """Optimal stationary entry cutoff against a fixed recurrent profile.
-
-    Returns -inf (always submit) when the profile leaves the contest
-    under-subscribed.
-    """
-    if profile.volume() <= params.budget + 1e-12:
-        return ALWAYS_SUBMIT
-    ev = evaluate_success(profile, params)
-    # the quality whose win probability is C / (C + V): the free-entry best
-    # response, and the lower end of the search with bans
-    start = ev.sbar - params.noise.quantile(1.0 - params.loss_share)
+def _best_responses(params, policy, base, sbar, near=(-math.inf, math.inf)):
+    """Optimal stationary entry cutoff of a researcher of quality law
+    `base` against the funding threshold(s) `sbar`, an array in one batch
+    of brackets.  The quality that wins with probability C / (C + V) is the
+    free-entry best response and with bans the lower end of a search up
+    past the quality support and the noise (tol 1e-12).  The root is unique
+    (one-shot deviations), so `near`, cutoffs (below, above), replaces each
+    bracket whose ends its signs confirm, all read in one residual call."""
+    s = np.asarray(sbar, dtype=float)
+    start = s - params.noise.quantile(1.0 - params.loss_share)
     if not policy.ban_periods:
         return start
+    ev = SuccessEvaluation(sbar=s, noise=params.noise)
 
     def residual(cutoff):
-        x = lifetime_payoff(cutoff, ev, params, policy)
+        x = lifetime_payoff(cutoff, ev, params, policy, base)
         return ev.win_prob(cutoff) - policy.indifference(cutoff, x, params)
 
-    f0 = residual(start)
-    if f0 > -1e-13:
-        # a root at `start`, or the intertemporal cost term vanishes there
+    hi = np.maximum(base.support_hint[1],
+                    s + 12.0 * params.noise.stddev) + 1.0
+    a, b = near[0] - 1e-12, near[1] + 1e-12
+    f0, fhi, fa, fb = residual(np.array(np.broadcast_arrays(start, hi, a, b)))
+    # a root at `start`, or the intertemporal cost term vanishes there
+    done = f0 > -1e-13
+    if np.all(done):
         return start
-    hi_cap = max(params.quality.support_hint[1],
-                 ev.sbar + 12.0 * params.noise.stddev) + 1.0
-    if not residual(hi_cap) > 0.0:
+    if not np.all(done | (fhi > 0.0)):
         raise NoRoot("best-response residual never crossed zero")
-    # the root is unique by the one-shot-deviation characterization
-    return _bisect_root(residual, start, hi_cap, f0, 1e-12)
+    ok = (a > start) & (fa < 0.0) & (fb > 0.0)
+    lo, hi, flo = (np.where(ok, *v) for v in ((a, start), (b, hi), (fa, f0)))
+    return np.where(done, start, _bisect_root(residual, lo, hi, flo, 1e-12))
+
+
+def best_response(profile, params, policy):
+    """Optimal stationary entry cutoff against a fixed recurrent profile,
+    the best response to its clearing threshold (`_best_responses`): -inf
+    (always submit) when that is -inf and everyone wins."""
+    sbar = evaluate_success(profile, params).sbar
+    return float(_best_responses(params, policy, params.quality, sbar))
 
 
 # ---------------------------------------------------------------------------
 # researcher types
 
 
-def _type_profile(params, cutoffs, shares):
-    comps = []
-    for t, q, a in zip(params.types, cutoffs, shares):
-        within = min(a / t.share, 1.0)
-        if within > 0.0:
-            comps.append(ProfileComponent(t.quality, q, within, t.share))
-    return SubmissionProfile(tuple(comps))
-
-
-def _type_state(params, policy, cutoffs, shares):
-    """(gaps, flows, profile, evaluation, payoffs) at candidate cutoffs and
-    eligible population shares: per type, the marginal win probability less
-    the indifference level, and the type share minus the eligible share and
-    the banned mass it carries (the net inflow into the eligible share)."""
-    profile = _type_profile(params, cutoffs, shares)
-    ev = evaluate_success(profile, params)
-    gaps, flows, payoffs = [], [], []
-    for t, q, a in zip(params.types, cutoffs, shares):
-        x = lifetime_payoff(q, ev, params, policy, t.quality)
+def _type_state(params, policy, cutoffs, sbar):
+    """(gaps, flows, shares, payoffs), a row per type, at the types' cutoffs
+    and funding threshold(s) `sbar`: indifference gaps, the eligible shares
+    share / (1 + load), their flow balance, and a last flow row unless all
+    are funded (sbar = -inf): the funded mass less the budget."""
+    ev = SuccessEvaluation(sbar=sbar, noise=params.noise)
+    rows, funded = [], -params.budget
+    for t, q in zip(params.types, cutoffs):
         F = t.quality.cdf(q)
-        ban = policy.ban(F, lambda s: ban_mass(q, s, t.quality, params.noise))
-        reject = 1.0 - F - win_mass(q, ev, t.quality)
-        gaps.append(float(ev.win_prob(q)) - policy.indifference(q, x, params))
-        flows.append(t.share - a * policy.load(reject, ban) - a)
-        payoffs.append(x)
-    return np.array(gaps), np.array(flows), profile, ev, payoffs
+        win = _upper_mass(t.quality, q, params.noise, sbar)
+        ban = policy.ban(F, lambda b: ban_mass(q, b, t.quality, params.noise))
+        load = policy.load(1.0 - F - win, ban)
+        a = t.share / (1.0 + load)
+        x = lifetime_payoff(q, ev, params, policy, t.quality)
+        rows.append((ev.win_prob(q) - policy.indifference(q, x, params),
+                     t.share - a * load - a, a, x))
+        funded = funded + a * win
+    gaps, flows, shares, payoffs = map(np.array, zip(*rows))
+    if np.all(np.asarray(sbar) > -math.inf):
+        flows = np.concatenate([flows, [funded]])
+    return gaps, flows, shares, payoffs
 
 
 def _dominates(d_hi, d_lo):
@@ -486,62 +488,60 @@ def _dominates(d_hi, d_lo):
     return d_hi.variance == d_lo.variance and d_hi.mean >= d_lo.mean
 
 
-def _newton(fun, x):
-    """Root of a smooth map near `x`: Newton steps on a forward-difference
-    Jacobian, each halved until the largest residual falls.  Returns once a
-    step is below 1e-12 relative, which is convergence or a stall; the
-    caller checks the residual."""
-    x = np.asarray(x, dtype=float)
-    f = fun(x)
-    for _ in range(50):
-        h = 1e-7 * (1.0 + np.abs(x))
-        jac = np.column_stack([(fun(x + e * hj) - f) / hj
-                               for e, hj in zip(np.eye(x.size), h)])
-        step = np.linalg.solve(jac, -f)
-        while np.any(np.abs(step) >= 1e-12 * (1.0 + np.abs(x))):
-            f_new = fun(x + step)
-            if np.max(np.abs(f_new)) < np.max(np.abs(f)):
-                break
-            step *= 0.5
-        else:
-            return x
-        x, f = x + step, f_new
-    return x
-
-
 def solve_typed(params, policy):
     """Steady state of the configured researcher types under `policy`.
 
-    One root problem in every type's cutoff and eligible population share:
-    each type is indifferent at its cutoff, and its eligible share balances
-    its inflow against the banned mass it carries (`policy.load`).  Newton's
-    method solves it from the policy's pooled steady state.  The point must
-    meet both contracts (indifference 1e-8, flow balance 1e-9), and a
-    dominant type must use the weakly higher cutoff; NoConvergence reports
-    any miss.  When the budget covers every eligible researcher even at full
-    entry, everyone applies and wins (corner=True); a pooled seed at that
-    corner for an interior typed problem raises NoConvergence.
+    At a funding threshold s each type's cutoff is its best response and
+    its eligible share is closed form (`_type_state`), which leaves one
+    clearing residual, k less the funded mass, for the pooled scan and
+    polish (`_scan_roots`) on the free-entry image of the pooled cutoff
+    interval, s = cutoff + G^-1(1 - C / (C + V)).  all_roots holds every
+    root's cutoffs, smallest s first; the outcome is the first, checked at
+    its s (indifference 1e-8, flow balance and clearing 1e-9, a dominant
+    type's cutoff weakly higher) or NoConvergence.  If the budget covers
+    all eligible at full entry, they apply and win (corner=True).
     """
     if not params.types:
         raise ValueError("the typed solver needs a type block")
-    n = len(params.types)
-    full = tuple(t.share / (1.0 + policy.ban(0.0, lambda s: ban_mass(
-        ALWAYS_SUBMIT, s, t.quality, params.noise))) for t in params.types)
-    corner = sum(full) <= params.budget
-    if corner:
-        cutoffs, shares = (ALWAYS_SUBMIT,) * n, full
-    else:
-        pooled = policy.solve(params)
-        if pooled.corner:
-            raise NoConvergence("the pooled seed is the always-submit "
-                                "corner, but the typed problem is interior")
-        seed = [pooled.cutoff] * n + \
-            [t.share * pooled.eligibility[0] for t in params.types]
-        z = _newton(lambda x: np.concatenate(
-            _type_state(params, policy, x[:n], x[n:])[:2]), seed)
-        cutoffs, shares = tuple(map(float, z[:n])), tuple(map(float, z[n:]))
-    gaps, flows, profile, ev, payoffs = _type_state(params, policy, cutoffs,
-                                                    shares)
+    cutoffs, sbar = (ALWAYS_SUBMIT,) * len(params.types), -math.inf
+    all_roots = (cutoffs,)
+    gaps, flows, shares, payoffs = _type_state(params, policy, cutoffs, sbar)
+    corner = sum(shares) <= params.budget
+    if not corner:
+        # a cutoff rises with the threshold: those solved on either side
+        # bracket it, ever narrower as the polish's windows nest
+        solved = [np.array([-math.inf, math.inf]),
+                  np.tile([-math.inf, math.inf], (len(cutoffs), 1))]
+
+        def cutoffs_at(s):
+            j = np.searchsorted(solved[0], s)
+            q = np.array([_best_responses(params, policy, t.quality, s,
+                                          (known[j - 1], known[j]))
+                          for t, known in zip(params.types, solved[1])])
+            s, q_all = np.append(solved[0], s), np.hstack([solved[1], q])
+            order = np.argsort(s)
+            solved[:] = s[order], q_all[:, order]
+            return q
+
+        offset = params.noise.quantile(1.0 - params.loss_share)
+        # the 1e-6 quantile of the unfunded share: open for every k < 1
+        lo, hi, floor = _cutoff_interval(
+            params, _GRID_FLOOR_P * (1.0 - params.budget)) + offset
+        roots = np.array(_scan_roots(
+            lambda s: -_type_state(params, policy, cutoffs_at(s), s)[1][-1],
+            lo, hi, floor - 60.0 * params.noise.stddev, _TYPED_GRID_POINTS,
+            _TYPED_ROOT_TOL))
+        if not roots.size:
+            raise NoRoot(f"no typed steady state found for {policy}")
+        q = cutoffs_at(roots)
+        all_roots = tuple(tuple(map(float, row)) for row in q.T)
+        cutoffs, sbar = all_roots[0], float(roots[0])
+        gaps, flows, shares, payoffs = (
+            v[:, 0] for v in _type_state(params, policy, q, roots))
+    shares = tuple(map(float, shares))
+    profile = SubmissionProfile(tuple(
+        ProfileComponent(t.quality, q, min(a / t.share, 1.0), t.share)
+        for t, q, a in zip(params.types, cutoffs, shares)))
     # at the corner everyone strictly prefers to apply: no gap closes
     residual = 0.0 if corner else float(np.max(np.abs(gaps)))
     elig_resid = float(np.max(np.abs(flows)))
@@ -558,9 +558,9 @@ def solve_typed(params, policy):
 
     return EquilibriumOutcome(
         regime=policy.regime, cutoffs=cutoffs, eligibility=shares,
-        sbar=ev.sbar, submission_volume=profile.volume(), residual=residual,
-        all_roots=(cutoffs,), welfare=welfare(profile, params),
-        payoff_x=tuple(payoffs), eligibility_residual=elig_resid,
+        sbar=sbar, submission_volume=profile.volume(), residual=residual,
+        all_roots=all_roots, welfare=welfare(profile, params),
+        payoff_x=tuple(map(float, payoffs)), eligibility_residual=elig_resid,
         corner=corner, profile=profile)
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from contest_eq import (ALWAYS_SUBMIT, NoConvergence, NoRoot, Normal,
-                        NoExclusion, RejectionExclusion, SignalExclusion,
-                        TypeMix, ban_mass, best_response, equilibrium_curves,
+                        NoExclusion, ProfileComponent, RejectionExclusion,
+                        SignalExclusion, SubmissionProfile, TypeMix, ban_mass,
+                        best_response, equilibrium_curves,
                         evaluate_success, normal_model, solve_benchmark,
                         solve_exclusion, solve_multi_period,
                         solve_signal_cutoff, solve_two_type, solve_typed,
@@ -267,6 +268,16 @@ def test_tree_bisection_takes_the_single_steps(lo, width, at, log_tol, kind,
     assert sum(batches) == sum(2 ** min(levels, steps - i) - 1
                                for i in range(0, steps, levels))
 
+    # a batch of brackets of other widths, so other step counts, and of
+    # either sign at the lower end: each row is its one-bracket call
+    los = np.array([lo, lo - 3.0 * width, lo, root])
+    his = np.array([hi, hi, lo + 0.3 * width, hi + 50.0 * width])
+    rows = distributions._bisect_root(np.vectorize(scalar), los, his,
+                                      np.vectorize(scalar)(los), tol)
+    for row, a, b in zip(rows, los, his):
+        assert row == distributions._bisect_root(batched, a, b, scalar(a),
+                                                 tol)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-1e6, 1e6), st.floats(1e-12, 1e3), st.floats(0.0, 1.0),
@@ -411,39 +422,32 @@ def test_empty_scan_interval_raises_before_any_residual_call(monkeypatch):
                 policy.solve(params)
 
 
-def _scan_with_zero_at_grid_point(params, monkeypatch, shape):
-    """Scan roots of the sign residual shape(zero - cutoff), zero being the
-    701st point of the scan grid."""
-    qstar = params.first_best_cutoff
-    grid = np.linspace(params.quality.quantile(equilibria._GRID_FLOOR_P),
-                       qstar - 1e-9 * (1.0 + abs(qstar)),
-                       equilibria.GRID_POINTS)
-    zero = grid[700]
-
-    def residual(params, policy, cutoffs):
-        return shape(zero - np.atleast_1d(np.asarray(cutoffs, dtype=float)))
-
-    monkeypatch.setattr(equilibria, "_sign_residuals", residual)
-    return equilibria._scan_roots(params, RejectionExclusion(1)), zero
+def _scan_with_zero_at_grid_point(params, shape):
+    """Scan roots of the residual shape(zero - cutoff) on the pooled scan's
+    interval, zero being the 701st point of its grid."""
+    interval = equilibria._cutoff_interval(params)
+    zero = np.linspace(*interval[:2], equilibria.GRID_POINTS)[700]
+    return equilibria._scan_roots(
+        lambda cutoffs: shape(zero - cutoffs), *interval,
+        equilibria.GRID_POINTS, equilibria._ROOT_TOL), zero
 
 
-def test_exact_zero_on_the_scan_grid_gives_one_root(model_v50, monkeypatch):
+def test_exact_zero_on_the_scan_grid_gives_one_root(model_v50):
     # a residual that is exactly zero at a grid point closes one bracket and
     # must not open a second one, whose bisection would start from the zero
     # and drift to the next grid point
-    roots, zero = _scan_with_zero_at_grid_point(model_v50, monkeypatch,
-                                                lambda x: x)
+    roots, zero = _scan_with_zero_at_grid_point(model_v50, lambda x: x)
     assert len(roots) == 1
     assert abs(roots[0] - zero) < 1e-10
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
 def test_a_residual_touching_zero_on_the_scan_grid_gives_one_root(
-        model_v50, monkeypatch, side):
+        model_v50, side):
     # touching zero without crossing: from above no bracket may open on
     # either side of the zero, and from below the zero must still count
     roots, zero = _scan_with_zero_at_grid_point(
-        model_v50, monkeypatch, lambda x: side * np.abs(x))
+        model_v50, lambda x: side * np.abs(x))
     assert roots == [zero]
 
 
@@ -518,7 +522,9 @@ def test_two_type_shares_solve_flow_balance(two_type_params, two_type_outcome):
     # re-derive each type's flow balance at the outcome: the type share
     # refills the eligible share, rejections among the eligible drain it
     p, out = two_type_params, two_type_outcome
-    profile = equilibria._type_profile(p, out.cutoffs, out.eligibility)
+    profile = SubmissionProfile(tuple(
+        ProfileComponent(t.quality, q, a / t.share, t.share)
+        for t, q, a in zip(p.types, out.cutoffs, out.eligibility)))
     ev = evaluate_success(profile, p)
     for t, q, a in zip(p.types, out.cutoffs, out.eligibility):
         wins = win_mass(q, ev, t.quality)
@@ -613,17 +619,19 @@ def test_typed_signal_ban_corner_when_budget_covers_everyone():
         solve_signal_cutoff(p, INF).payoff_x[0]
 
 
-def test_typed_problem_off_a_pooled_corner_raises():
+def test_typed_problem_off_a_pooled_corner_solves():
     # the pooled mixture bans half its mass below s = 4 (eligible 2/3 <=
     # k = 0.7), but the strong type is almost never banned: typed mass
-    # 0.4988 + 0.2503 > k is interior, and the corner seeds no Newton start
+    # 0.4988 + 0.2503 > k is interior, and the typed scan solves it
     p = _corner_model(8.0, 0.7)
     assert solve_signal_cutoff(p, 4.0).corner
     full = [t.share / (1.0 + ban_mass(ALWAYS_SUBMIT, 4.0, t.quality, p.noise))
             for t in p.types]
     assert abs(sum(full) - 0.749) < 1e-3
-    with pytest.raises(NoConvergence, match="pooled seed"):
-        solve_typed(p, SignalExclusion(4.0))
+    out = solve_typed(p, SignalExclusion(4.0))
+    assert not out.corner and out.sbar > -INF
+    assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
+    assert out.cutoffs[0] > out.cutoffs[1]
 
 
 def test_two_type_random_draw_meets_contracts():
@@ -667,18 +675,54 @@ def typed_models(draw):
     st.one_of(st.just(-INF), st.just(INF),
               st.floats(-5.0, 5.0)).map(SignalExclusion)))
 def test_dominant_type_uses_the_higher_cutoff(params, policy):
-    """Better-able agents self-select more under every policy.  A typed
-    contract miss is a loud failure the solver may report (it does for some
-    bans of a thousand periods or more); a dominance miss is a
-    counterexample.
-    Equal cutoffs tie within the solver's 1e-9."""
-    try:
-        out = solve_typed(params, policy)
-    except (NoRoot, NoConvergence) as exc:
-        assert "dominant" not in str(exc)
-        return
+    """Better-able agents self-select more: every draw solves within its
+    contracts, and the stronger type's cutoff is weakly higher (equal
+    cutoffs tie within the solver's 1e-9).  Free entry selects no one by
+    type: both cutoffs are the same float and every researcher is
+    eligible.  Rejection bans make the stronger type strictly more
+    selective once its mean is 0.1 sd ahead, wherever the solver resolves
+    the ban's cost."""
+    out = solve_typed(params, policy)
     assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
     assert out.cutoffs[0] >= out.cutoffs[1] - 1e-9
+    strong, weak = (t.quality for t in params.types)
+    if isinstance(policy, NoExclusion):
+        assert out.cutoffs[0] == out.cutoffs[1]
+        assert out.eligibility == tuple(t.share for t in params.types)
+    elif isinstance(policy, RejectionExclusion) \
+            and strong.mean - weak.mean >= 0.1 * strong.stddev:
+        # a ban whose cost at the threshold is below 1e-13 leaves both types
+        # at the free-entry cutoff, where no gap is resolved (delta and k
+        # near 0)
+        free = out.sbar - params.noise.quantile(1.0 - params.loss_share)
+        assert out.cutoffs[0] > out.cutoffs[1] \
+            or out.cutoffs[0] == out.cutoffs[1] == free
+
+
+@pytest.mark.parametrize("share, strong, weak, var_s, c, v, k, delta, t", [
+    # one-period bans where the pooled problem has three roots
+    (0.62, (5.24, 0.0606), (0.0, 0.0542), 0.337, 1.0, 24.5, 0.608, 0.395, 1),
+    (0.22, (2.1, 0.132), (0.0, 0.0443), 0.05, 1.0, 481.0, 0.202, 0.0268, 1),
+    # bans of thousands of periods
+    (0.657, (1.329, 1.456), (-0.792, 1.456), 0.00487, 0.834, 22000.0,
+     0.878, 0.462, 2006),
+    (0.686, (1.837, 0.78), (0.212, 0.78), 0.000608, 0.515, 5.57, 0.331,
+     0.328, 9339),
+])
+def test_typed_steady_states_far_from_the_pooled_one(share, strong, weak,
+                                                     var_s, c, v, k, delta,
+                                                     t):
+    # rounded draws on which a Newton solve seeded by the pooled steady
+    # state missed its contracts: the threshold scan solves each, and the
+    # stronger type uses the higher cutoff
+    types = (TypeMix(share, Normal(*strong)), TypeMix(1.0 - share,
+                                                      Normal(*weak)))
+    p = normal_model(var_signal=var_s, reject_cost=c, win_value=v,
+                     budget=k, discount=delta, types=types)
+    out = solve_typed(p, RejectionExclusion(t))
+    assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
+    assert out.all_roots[0] == out.cutoffs
+    assert out.cutoffs[0] > out.cutoffs[1]
 
 
 def test_pooled_root_missing_its_contract_raises(monkeypatch):
@@ -691,12 +735,30 @@ def test_pooled_root_missing_its_contract_raises(monkeypatch):
 
 def test_two_type_root_missing_its_contract_raises(two_type_params,
                                                    monkeypatch):
-    # a root finder that never leaves the pooled seed
-    monkeypatch.setattr(equilibria, "_newton",
-                        lambda fun, x: np.asarray(x, dtype=float))
+    # a funding threshold polished only to 1e-2 funds more or less than
+    # the budget by far more than the 1e-9 contract
+    monkeypatch.setattr(equilibria, "_TYPED_ROOT_TOL", 1e-2)
     with pytest.raises(NoConvergence) as info:
         solve_two_type(two_type_params)
     assert info.value.best_residual > 1e-8
+
+
+def test_typed_outcome_records_every_root(two_type_params, two_type_outcome,
+                                          monkeypatch):
+    # each threshold the scan returns puts the types' cutoffs on all_roots,
+    # smallest first, and the outcome describes the first; a cutoff rises
+    # with the threshold
+    scan = equilibria._scan_roots
+
+    def with_a_second_root(values, *interval):
+        roots = scan(values, *interval)
+        return roots + [roots[0] + 1.0]
+
+    monkeypatch.setattr(equilibria, "_scan_roots", with_a_second_root)
+    out = solve_two_type(two_type_params)
+    first, second = out.all_roots
+    assert first == out.cutoffs == two_type_outcome.cutoffs
+    assert second[0] > first[0] and second[1] > first[1]
 
 
 # ---------------------------------------------------------------------------

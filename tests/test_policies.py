@@ -214,7 +214,10 @@ def test_screened_sign_residual_is_the_orthant_sign(params, policy):
 
 def _polished_roots(params, policy):
     try:
-        return equilibria._scan_roots(params, policy)
+        return equilibria._scan_roots(
+            lambda grid: _sign_residuals(params, policy, grid),
+            *equilibria._cutoff_interval(params), equilibria.GRID_POINTS,
+            equilibria._ROOT_TOL)
     except NoRoot:
         return []
 
