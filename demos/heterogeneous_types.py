@@ -7,15 +7,14 @@ type-blind.  The type block composes with every exclusion policy.
 """
 
 from contest_eq import (Normal, RejectionExclusion, SignalExclusion, TypeMix,
-                        normal_model, solve_benchmark, solve_two_type,
-                        solve_typed)
+                        normal_model, solve, solve_benchmark)
 
 types = (TypeMix(0.5, Normal(0.5, 2.0)),   # stronger type
          TypeMix(0.5, Normal(0.0, 2.0)))   # weaker type
 params = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                       budget=0.1, discount=0.97, types=types)
 
-out = solve_two_type(params)
+out = solve(params, RejectionExclusion(1))
 print("two types under one-period rejection bans")
 print(f"  strong type: cutoff {out.cutoffs[0]:+.4f}, eligible share "
       f"{out.eligibility[0]:.4f} of 0.5")
@@ -40,7 +39,7 @@ print(f"\n{'policy':>24} {'strong':>8} {'weak':>8} {'gap':>7} "
       f"{'eligible':>9}")
 for policy in (RejectionExclusion(1), RejectionExclusion(5),
                SignalExclusion(0.0)):
-    o = solve_typed(params, policy)
+    o = solve(params, policy)
     print(f"{o.regime:>24} {o.cutoffs[0]:+8.4f} {o.cutoffs[1]:+8.4f} "
           f"{o.cutoffs[0] - o.cutoffs[1]:7.4f} {sum(o.eligibility):9.4f}")
 print("a five-period ban widens the gap further; a signal bar at 0 bans "

@@ -9,9 +9,9 @@ from .core import (ALWAYS_SUBMIT, NEVER_SUBMIT, BracketFailure, ModelParams,
                    normal_model, signal_cutoff, truncated_profile, welfare,
                    win_mass)
 from .equilibria import (EquilibriumOutcome, NoConvergence, NoRoot,
-                         best_response, equilibrium_curves, solve_benchmark,
-                         solve_exclusion, solve_multi_period,
-                         solve_signal_cutoff, solve_two_type, solve_typed,
+                         best_response, equilibrium_curves, solve,
+                         solve_benchmark, solve_exclusion, solve_multi_period,
+                         solve_signal_cutoff, solve_typed,
                          steady_state_profile)
 from .analysis import (DominanceReport, SweepEntry, WinnerDensity,
                        compare_winners, first_best, sweep, winner_density)

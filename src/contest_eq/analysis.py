@@ -15,10 +15,15 @@ import numpy as np
 from .core import (BracketFailure, RejectionExclusion, SignalExclusion,
                    _upper_mass, evaluate_success, truncated_profile)
 from .distributions import RejectedValue, _bisect_root
-from .equilibria import NoConvergence, NoRoot, solve_benchmark, solve_typed
+from .equilibria import NoConvergence, NoRoot, solve, solve_benchmark
 
 # what a sweep records inline; anything else is a programming error
 _SOLVER_ERRORS = (NoRoot, NoConvergence, BracketFailure, RejectedValue)
+
+# every sweep axis: the model field its value sets, or the policy it builds
+_SWEEP_AXES = {"V": "win_value", "C": "reject_cost", "k": "budget",
+               "delta": "discount", "t": RejectionExclusion,
+               "sbar_ban": lambda v: SignalExclusion(float(v))}
 
 # cumulative and pointwise differences within this slack count as ties
 _SLACK = 1e-9
@@ -166,33 +171,28 @@ class SweepEntry:
     error: str | None = None
 
 
-def sweep(params, axis, values, regime=None):
+def sweep(params, axis, values, policy=None):
     """Solve one equilibrium per value of a model or policy knob.
 
     axis is one of "V", "C", "k", "delta" (model scalars, each solved by
-    `regime.solve(params)`, a policy object or anything else with that
-    method, free entry by default), "t" (ban length, rejection-exclusion
-    regime) or "sbar_ban" (signal regime).  The "t" and "sbar_ban" axes
-    solve the typed steady state when `params` has a type block.  Solver
-    failures and invalid values, a fractional ban length among them, are
-    recorded inline instead of aborting the sweep.
+    `solve` under `policy`, or by `solve_benchmark` when it is None), "t"
+    (ban length, rejection-exclusion regime) or "sbar_ban" (signal regime),
+    both solved by `solve`; with a policy a type block solves the typed
+    steady state.  Solver failures and invalid values, a fractional ban
+    length among them, are recorded inline instead of aborting the sweep.
     """
-    field = {"V": "win_value", "C": "reject_cost", "k": "budget",
-             "delta": "discount"}.get(axis)
-    if field is None and axis not in ("t", "sbar_ban"):
+    knob = _SWEEP_AXES.get(axis)
+    if knob is None:
         raise ValueError(f"unknown sweep axis: {axis!r}")
     entries = []
     for v in values:
         try:
-            if field is not None:
-                p = dataclasses.replace(params, **{field: float(v)})
-                out = solve_benchmark(p) if regime is None \
-                    else regime.solve(p)
+            if isinstance(knob, str):
+                p = dataclasses.replace(params, **{knob: float(v)})
+                out = solve_benchmark(p) if policy is None \
+                    else solve(p, policy)
             else:
-                policy = RejectionExclusion(v) if axis == "t" \
-                    else SignalExclusion(float(v))
-                out = policy.solve(params) if params.types is None \
-                    else solve_typed(params, policy)
+                out = solve(params, knob(v))
             entries.append(SweepEntry(value=float(v), outcome=out))
         except _SOLVER_ERRORS as exc:
             entries.append(SweepEntry(value=float(v), error=str(exc)))

@@ -24,14 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (_SOLVER_ERRORS, compare_winners, first_best, sweep,
-                       winner_density)
+from .analysis import (_SOLVER_ERRORS, _SWEEP_AXES, compare_winners,
+                       first_best, sweep, winner_density)
 from .core import (ModelParams, NoExclusion, RejectionExclusion,
                    SignalExclusion, TypeMix, normal_model)
 from .distributions import Normal, RejectedValue
-from .equilibria import (_outcome, equilibrium_curves, solve_benchmark,
-                         solve_exclusion, solve_multi_period, solve_two_type,
-                         solve_typed)
+from .equilibria import (_outcome, equilibrium_curves, solve,
+                         solve_benchmark, solve_exclusion, solve_multi_period)
 from .simulation import SimConfig, run_simulation
 
 
@@ -77,17 +76,6 @@ class RunConfig:
     output_path: str
     grid_size: int
     command: str | None = None
-
-    def solve(self, params=None):
-        """The configured regime's equilibrium of `params` (the configured
-        model by default): the typed steady state when it has a type block,
-        else the policy's public solver."""
-        params = self.params if params is None else params
-        if params.types is None:
-            return self.policy.solve(params)
-        if self.regime == "two_type":
-            return solve_two_type(params)
-        return solve_typed(params, self.policy)
 
 
 def _literal(section, key, raw):
@@ -156,20 +144,15 @@ def parse_config(text, overrides=()):
 
     regime = policy.get("regime", "benchmark")
     try:
-        # two_type is exclusion with a type block
         policies = {"benchmark": NoExclusion(),
                     "exclusion": RejectionExclusion(1),
                     "multi_period": RejectionExclusion(policy.get("t", 1)),
                     "signal_cutoff": SignalExclusion(
-                        policy.get("sbar_ban", -math.inf)),
-                    "two_type": RejectionExclusion(1)}
+                        policy.get("sbar_ban", -math.inf))}
     except RejectedValue as exc:
         raise ValidationError(f"[policy] {exc}") from exc
     if regime not in policies:
         raise ValidationError(f"unknown regime {regime!r}")
-    if regime == "two_type" and types is None:
-        raise ValidationError("two_type regime requires the type block "
-                              "(lambda_H, mu_q_H, ...) in [model]")
 
     names = ("cutoff_h", "cutoff_l") if types else ("cutoff",)
     given = tuple(key for key in ("cutoff", "cutoff_h", "cutoff_l")
@@ -181,7 +164,7 @@ def parse_config(text, overrides=()):
         raise ValidationError("cutoff_H and cutoff_L must come together")
 
     axis = sweep_sec.get("axis")
-    if axis not in (None, "V", "C", "k", "delta", "t", "sbar_ban"):
+    if axis is not None and axis not in _SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}")
     grid_size = out.get("grid_size", 1000)
     if grid_size < 100:
@@ -248,7 +231,7 @@ def _outcome_row(outcome):
 
 
 def _cmd_solve(cfg):
-    outcome = cfg.solve()
+    outcome = solve(cfg.params, cfg.policy)
     rows = [_outcome_row(outcome)]
     # further pooled roots: each row from the solve's clearing at that root
     for root, (elig, sbar, residual) in zip(outcome.all_roots[1:],
@@ -263,7 +246,7 @@ def _cmd_solve(cfg):
 def _cmd_sweep(cfg):
     if cfg.sweep_axis is None or not cfg.sweep_values:
         raise ValidationError("sweep needs [sweep] axis and values")
-    entries = sweep(cfg.params, cfg.sweep_axis, cfg.sweep_values, cfg)
+    entries = sweep(cfg.params, cfg.sweep_axis, cfg.sweep_values, cfg.policy)
     rows = [_outcome_row(e.outcome) + [e.value] if e.error is None
             else [f"error: {e.error}"] + [None] * 10 + [e.value]
             for e in entries]
@@ -277,7 +260,7 @@ def _cmd_simulate(cfg):
     cutoffs = cfg.cutoffs
     analytic = None
     if cutoffs is None:
-        analytic = cfg.solve()
+        analytic = solve(cfg.params, cfg.policy)
         cutoffs = analytic.cutoffs
     result = run_simulation(replace(
         cfg.sim, policy=cfg.policy, cutoffs=cutoffs,
@@ -308,7 +291,8 @@ def _cmd_simulate(cfg):
 
 def _cmd_compare(cfg):
     base = solve_benchmark(cfg.params)
-    other = base if cfg.regime == "benchmark" else cfg.solve()
+    other = base if cfg.regime == "benchmark" \
+        else solve(cfg.params, cfg.policy)
     h0 = winner_density(base.profile, cfg.params, cfg.grid_size)
     h = winner_density(other.profile, cfg.params, cfg.grid_size)
     report = compare_winners(h, h0)

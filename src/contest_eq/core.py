@@ -415,8 +415,8 @@ def ban_mass(cutoff, sbar_ban, base, noise):
 # exclusion policies
 #
 # Every formula that depends on the ban rule lives on the policy object: the
-# regime label and ban length, the regime's public solver, the per-period
-# mass of submitters banned by their review signal, steady-state
+# regime label and ban length, the steady state's existence condition, the
+# per-period mass of submitters banned by their review signal, steady-state
 # eligibility and banned load, the indifference level of the marginal win
 # probability given the lifetime payoff x of eligibility, the ban weight in
 # the payoff's denominator, and the simulator's ban trigger.  Every method
@@ -443,9 +443,11 @@ class RejectionExclusion:
     def ban_periods(self):
         return self.periods
 
-    def solve(self, params):
-        from . import equilibria
-        return equilibria.solve_multi_period(params, self.periods)
+    def hypothesis_met(self, params):
+        """Whether V/C reaches the bound (1 - k)/((t + 1) k) that guarantees
+        a steady state exists."""
+        bound = (1.0 - params.budget) / ((self.periods + 1) * params.budget)
+        return params.win_value / params.reject_cost >= bound
 
     def ban(self, F, below):
         """No signal-triggered bans: the ban follows the funding outcome."""
@@ -491,9 +493,9 @@ class SignalExclusion:
     def regime(self):
         return f"signal_cutoff(sbar={self.sbar:g})"
 
-    def solve(self, params):
-        from . import equilibria
-        return equilibria.solve_signal_cutoff(params, self.sbar)
+    def hypothesis_met(self, params):
+        """Signal bans and free entry state no existence bound."""
+        return True
 
     def ban(self, F, below):
         """`below(s)` integrates the chance of a signal under s over the
@@ -536,10 +538,6 @@ class NoExclusion(SignalExclusion):
     sbar: float = field(default=-math.inf, init=False, repr=False)
     regime = "benchmark"
     ban_periods = 0
-
-    def solve(self, params):
-        from . import equilibria
-        return equilibria.solve_benchmark(params)
 
 
 def _payoff(win, reject, ban_weight, params):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -337,14 +337,35 @@ def _outcome(params, policy, cutoff, elig, sbar, **fields):
         profile=profile, **fields)
 
 
-def _solve_common(params, policy, hypothesis_met=True):
-    """Scan and polish the roots on the sign residual, then solve clearing
-    once at all of them in one root pass (`_root_pass`): keep the interior
-    ones and describe the smallest, recording every kept root's
-    eligibility, threshold and residual from that pass; a smallest root
-    that misses the residual contract raises NoConvergence.  The scan and
-    the polish walk the sign residual (`_sign_residuals`), which solves no
-    clearing."""
+def solve(params, policy):
+    """Steady state of `params` under `policy`: the typed one
+    (`solve_typed`) when the model has a type block, else the pooled one
+    (`_solve_common`).  The one place that picks the solver."""
+    if params.types:
+        return solve_typed(params, policy)
+    return _solve_common(params, policy)
+
+
+def _solve_common(params, policy):
+    """Pooled steady state under `policy`, flagged with its existence
+    condition (hypothesis_met).  A loss share outside (0, 1) raises NoRoot.
+    When the budget covers every eligible applicant even at full entry the
+    equilibrium is the corner where everyone applies and wins (corner=True).
+    Otherwise scan and polish the roots on the sign residual
+    (`_sign_residuals`, which solves no clearing), then solve clearing once
+    at all of them in one root pass (`_root_pass`): keep the interior ones
+    and describe the smallest, recording every kept root's eligibility,
+    threshold and residual from that pass; a smallest root that misses the
+    residual contract raises NoConvergence."""
+    if not 0.0 < params.loss_share < 1.0:
+        raise NoRoot("loss share outside (0, 1)")
+    f, k = params.quality, params.budget
+    # full-entry eligibility, as `steady_state_profile` at ALWAYS_SUBMIT
+    elig = float(policy.eligibility(0.0, policy.ban(
+        0.0, lambda s: ban_mass(ALWAYS_SUBMIT, s, f, params.noise)), k))
+    if k >= elig:  # under-subscribed: everyone is funded
+        return _outcome(params, policy, ALWAYS_SUBMIT, elig, -math.inf,
+                        residual=0.0, all_roots=(ALWAYS_SUBMIT,), corner=True)
     roots = _scan_roots(lambda g: _sign_residuals(params, policy, g),
                         *_cutoff_interval(params), GRID_POINTS, _ROOT_TOL)
     resid, interior, sbar, elig = _root_pass(params, policy, roots)
@@ -362,14 +383,12 @@ def _solve_common(params, policy, hypothesis_met=True):
                     root_clearing=tuple(
                         (float(elig[i]), float(sbar[i]), float(abs(resid[i])))
                         for i in keep),
-                    hypothesis_met=hypothesis_met)
+                    hypothesis_met=policy.hypothesis_met(params))
 
 
 def solve_benchmark(params):
     """Unique free-entry equilibrium cutoff: the marginal quality wins with
     probability C / (C + V)."""
-    if not 0.0 < params.loss_share < 1.0:
-        raise NoRoot("loss share outside (0, 1)")
     return _solve_common(params, NoExclusion())
 
 
@@ -381,32 +400,20 @@ def solve_exclusion(params):
     steady states are possible; all sign-change roots are reported and the
     smallest is returned.
     """
-    return solve_multi_period(params, 1)
+    return _solve_common(params, RejectionExclusion(1))
 
 
 def solve_multi_period(params, periods):
     """Steady state when rejection triggers a ban of `periods` periods."""
-    policy = RejectionExclusion(periods)
-    bound = (1.0 - params.budget) / ((policy.periods + 1) * params.budget)
-    met = params.win_value / params.reject_cost >= bound
-    return _solve_common(params, policy, hypothesis_met=met)
+    return _solve_common(params, RejectionExclusion(periods))
 
 
 def solve_signal_cutoff(params, sbar_ban):
     """Steady state when exclusion triggers on a review signal below
-    `sbar_ban` (funding still clears the market every period).
-
-    When the budget covers every eligible applicant even at full entry
-    (k >= 1/(1 + Ban(-inf, sbar_ban))) the equilibrium is the corner where
-    everyone applies and wins; the outcome is returned with corner=True.
+    `sbar_ban` (funding still clears the market every period): the corner
+    (corner=True) when k >= 1/(1 + Ban(-inf, sbar_ban)) covers full entry.
     """
-    policy = SignalExclusion(float(sbar_ban))
-    elig = steady_state_profile(params, ALWAYS_SUBMIT,
-                                policy).components[0].eligibility
-    if params.budget >= elig:  # under-subscribed: everyone is funded
-        return _outcome(params, policy, ALWAYS_SUBMIT, elig, -math.inf,
-                        residual=0.0, all_roots=(ALWAYS_SUBMIT,), corner=True)
-    return _solve_common(params, policy)
+    return _solve_common(params, SignalExclusion(float(sbar_ban)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +476,11 @@ def _type_state(params, policy, cutoffs, sbar):
         F = t.quality.cdf(q)
         win = _upper_mass(t.quality, q, params.noise, sbar)
         ban = policy.ban(F, lambda b: ban_mass(q, b, t.quality, params.noise))
-        load = policy.load(1.0 - F - win, ban)
+        reject = 1.0 - F - win
+        load = policy.load(reject, ban)
         a = t.share / (1.0 + load)
-        x = lifetime_payoff(q, ev, params, policy, t.quality)
+        x = _payoff(win, reject, policy.payoff_ban(reject, ban, params),
+                    params)
         rows.append((ev.win_prob(q) - policy.indifference(q, x, params),
                      t.share - a * load - a, a, x))
         funded = funded + a * win
@@ -562,13 +571,6 @@ def solve_typed(params, policy):
         all_roots=all_roots, welfare=welfare(profile, params),
         payoff_x=tuple(map(float, payoffs)), eligibility_residual=elig_resid,
         corner=corner, profile=profile)
-
-
-def solve_two_type(params):
-    """The typed steady state under one-period rejection bans, labelled
-    two_type."""
-    return replace(solve_typed(params, RejectionExclusion(1)),
-                   regime="two_type")
 
 
 # ---------------------------------------------------------------------------

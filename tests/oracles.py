@@ -145,30 +145,53 @@ def value_iter_payoff(Q, sbar, mu_q, sd_q, sd_s, V, C, delta,
     converges geometrically; the integral coefficients use a dense Simpson
     grid computed once.
     """
-    FQ = 0.0 if Q == -np.inf else norm_cdf(Q, mu_q, sd_q)
+    if sbar_ban is None:
+        return value_iter_payoffs(Q, sbar, mu_q, sd_q, sd_s, V, C, delta,
+                                  (ban_periods,), tol, max_iter)[0]
     if Q == np.inf:
         return 0.0
+    FQ, qs, fq, w, flow = _payoff_grid(Q, sbar, mu_q, sd_q, sd_s, V, C)
+    # signal below sbar_ban triggers a one-period ban, win or lose
+    if sbar_ban == np.inf:
+        gban = np.ones_like(qs)
+    elif sbar_ban == -np.inf:
+        gban = np.zeros_like(qs)
+    else:
+        gban = norm_cdf(sbar_ban - qs, 0.0, sd_s)
+    keep = float(simpson(fq * (1.0 - gban), x=qs))
+    banned = float(simpson(fq * gban, x=qs))
+    cont = delta * FQ + delta * keep + delta ** 2 * banned
+    return _iterate(flow, cont, tol, max_iter)
+
+
+def value_iter_payoffs(Q, sbar, mu_q, sd_q, sd_s, V, C, delta, ban_periods,
+                       tol=1e-13, max_iter=200_000):
+    """`value_iter_payoff` under a rejection ban of each length in
+    `ban_periods`, a list, all from one Simpson grid and its integrals."""
+    if Q == np.inf:
+        return [0.0] * len(ban_periods)
+    FQ, qs, fq, w, flow = _payoff_grid(Q, sbar, mu_q, sd_q, sd_s, V, C)
+    # rejection triggers the ban: continuation delta*x if win else delta^(t+1)*x
+    win_mass = float(simpson(fq * w, x=qs))
+    rej_mass = (1.0 - FQ) - win_mass
+    return [_iterate(flow, delta * FQ + delta * win_mass
+                     + delta ** (t + 1) * rej_mass, tol, max_iter)
+            for t in ban_periods]
+
+
+def _payoff_grid(Q, sbar, mu_q, sd_q, sd_s, V, C):
+    """(F(Q), grid, density, win probability, flow payoff) of the payoff
+    recursions on the dense Simpson grid above Q."""
+    FQ = 0.0 if Q == -np.inf else norm_cdf(Q, mu_q, sd_q)
     qs = quality_grid(mu_q, sd_q, Q, SIMPSON_N)
     fq = norm_pdf(qs, mu_q, sd_q)
     w = np.ones_like(qs) if sbar == -np.inf else 1.0 - norm_cdf(sbar - qs, 0.0, sd_s)
-
     flow = float(simpson(fq * (w * V - (1.0 - w) * C), x=qs))
-    if sbar_ban is None:
-        # rejection triggers the ban: continuation delta*x if win else delta^(t+1)*x
-        win_mass = float(simpson(fq * w, x=qs))
-        rej_mass = (1.0 - FQ) - win_mass
-        cont = delta * FQ + delta * win_mass + delta ** (ban_periods + 1) * rej_mass
-    else:
-        # signal below sbar_ban triggers a one-period ban, win or lose
-        if sbar_ban == np.inf:
-            gban = np.ones_like(qs)
-        elif sbar_ban == -np.inf:
-            gban = np.zeros_like(qs)
-        else:
-            gban = norm_cdf(sbar_ban - qs, 0.0, sd_s)
-        keep = float(simpson(fq * (1.0 - gban), x=qs))
-        banned = float(simpson(fq * gban, x=qs))
-        cont = delta * FQ + delta * keep + delta ** 2 * banned
+    return FQ, qs, fq, w, flow
+
+
+def _iterate(flow, cont, tol, max_iter):
+    """Fixed point of x = flow + cont * x by literal iteration from 0."""
     x = 0.0
     for _ in range(max_iter):
         x_new = flow + cont * x

@@ -15,11 +15,10 @@ from contest_eq import (Normal, NoExclusion, RejectionExclusion,
                         SignalExclusion, SimConfig, TypeMix,
                         compare_winners, empirical_best_response,
                         evaluate_success, first_best, lifetime_payoff,
-                        normal_model, run_simulation, solve_benchmark,
+                        normal_model, run_simulation, solve, solve_benchmark,
                         solve_exclusion, solve_multi_period,
-                        solve_signal_cutoff, solve_two_type,
-                        steady_state_profile, truncated_profile,
-                        winner_density)
+                        solve_signal_cutoff, steady_state_profile,
+                        truncated_profile, winner_density)
 
 import oracles
 
@@ -204,17 +203,13 @@ def test_criterion_7_payoff_identities():
         sd_q, sd_s = math.sqrt(var_q), math.sqrt(var_s)
 
         x = lifetime_payoff(Q, ev, p)
-        ref = oracles.value_iter_payoff(Q, ev.sbar, mu, sd_q, sd_s,
-                                        p.win_value, p.reject_cost,
-                                        p.discount, ban_periods=1)
-        worst = max(worst, abs(x - ref))
-
         t = int(rng.integers(2, 20))
         xt = lifetime_payoff(Q, ev, p, policy=RejectionExclusion(t))
-        ref_t = oracles.value_iter_payoff(Q, ev.sbar, mu, sd_q, sd_s,
-                                          p.win_value, p.reject_cost,
-                                          p.discount, ban_periods=t)
-        worst = max(worst, abs(xt - ref_t))
+        # one oracle grid serves both ban lengths
+        ref, ref_t = oracles.value_iter_payoffs(Q, ev.sbar, mu, sd_q, sd_s,
+                                                p.win_value, p.reject_cost,
+                                                p.discount, [1, t])
+        worst = max(worst, abs(x - ref), abs(xt - ref_t))
 
         # typed payoff: researcher type differs from the population
         mu_i = mu + rng.uniform(0.1, 0.6)
@@ -268,12 +263,12 @@ def test_criterion_9_two_type_suite(model_v50):
     types = (TypeMix(0.5, Normal(0.5, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
-    out = solve_two_type(p)
+    out = solve(p, RejectionExclusion(1))
 
     same = (TypeMix(0.5, Normal(0.0, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
     p_same = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                           budget=0.1, discount=0.97, types=same)
-    degenerate = solve_two_type(p_same)
+    degenerate = solve(p_same, RejectionExclusion(1))
     pooled = solve_exclusion(model_v50)
     collapse = max(abs(degenerate.cutoffs[0] - pooled.cutoff),
                    abs(degenerate.cutoffs[1] - pooled.cutoff))

@@ -207,6 +207,6 @@ def test_sweep_propagates_programming_errors(model_v50, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken solver")
 
-    monkeypatch.setattr(equilibria, "solve_multi_period", broken)
+    monkeypatch.setattr(equilibria, "_solve_common", broken)
     with pytest.raises(TypeError, match="broken solver"):
         sweep(model_v50, "t", [1, 5])

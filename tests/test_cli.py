@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from contest_eq import cli, equilibria
-from contest_eq.cli import (ParseError, RunConfig, ValidationError, main,
-                            parse_config, run_command)
+from contest_eq.cli import (ParseError, ValidationError, main, parse_config,
+                            run_command)
 
 from reference import V50_Q1, V20_BAN_ROOTS
 
@@ -128,6 +128,20 @@ def test_parse_config_rejects_unknown_regime():
         parse_config("[policy]\nregime = lottery\n")
 
 
+def test_two_type_is_an_unknown_regime(tmp_path, capsys):
+    # every regime names a policy, and a type block makes any of them typed:
+    # the one-period-ban label of a type block is exclusion
+    config = tmp_path / "two_type.ini"
+    config.write_text((CONFIGS / "two_type.ini").read_text().replace(
+        "regime = exclusion", "regime = two_type"))
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+    assert record["message"] == "unknown regime 'two_type'"
+    assert not out.exists()
+
+
 def test_solve_command_writes_single_benchmark_row(tmp_path):
     out = tmp_path / "bench.csv"
     cfg = parse_config(V30_DOC.format(path=out))
@@ -166,11 +180,10 @@ path = {path}
 
 
 def test_solve_writes_one_row_per_pooled_root(tmp_path, monkeypatch):
-    # the config's solve is pointed at the population's pooled problem (the
-    # typed solver's seed): every root gets its row from the one clearing
-    # pass the solve made at its roots, and no root is solved twice
-    monkeypatch.setattr(RunConfig, "solve",
-                        lambda self: self.policy.solve(self.params))
+    # the command's solve is pointed at the population's pooled problem:
+    # every root gets its row from the one clearing pass the solve made at
+    # its roots, and no root is solved twice
+    monkeypatch.setattr(cli, "solve", equilibria._solve_common)
     calls = []
 
     def counted(name):
@@ -454,8 +467,9 @@ def test_sweep_command(tmp_path):
 
 
 def test_two_type_sweep_solves_the_two_type_model(tmp_path):
-    # a model-scalar axis solves every value with the configured two-type
-    # solver: the V = 50 row is the solve row plus its axis value
+    # a model-scalar axis solves every value with the configured policy's
+    # typed steady state: the V = 50 row is the solve row plus its axis
+    # value
     config = str(CONFIGS / "two_type.ini")
     solved, swept = tmp_path / "solve.csv", tmp_path / "sweep.csv"
     assert main(["solve", "--config", config, "--out", str(solved)]) == 0
@@ -484,7 +498,6 @@ def test_two_type_sweep_solves_the_two_type_model(tmp_path):
     ["policy.regime=benchmark"], ["policy.regime=exclusion"],
     ["policy.regime=multi_period", "policy.t=5"],
     ["policy.regime=signal_cutoff", "policy.sbar_ban=0"],
-    ["policy.regime=two_type"],
 ], ids=lambda policy: policy[0].split("=")[1])
 def test_type_block_solves_and_simulates_under_every_regime(tmp_path, policy):
     # a type block makes every regime typed: one cutoff per type in the

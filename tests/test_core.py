@@ -350,15 +350,12 @@ def test_closed_forms_match_recursions_on_random_draws():
         ev = evaluate_success(profile, p)
         sd_q, sd_s = math.sqrt(var_q), math.sqrt(var_s)
         x = lifetime_payoff(Q, ev, p)
-        ref = oracles.value_iter_payoff(Q, ev.sbar, p.quality.mean, sd_q,
-                                        sd_s, p.win_value, p.reject_cost,
-                                        p.discount, ban_periods=1)
-        assert abs(x - ref) < 1e-8
         t = int(rng.integers(2, 12))
         xt = lifetime_payoff(Q, ev, p, policy=RejectionExclusion(t))
-        ref_t = oracles.value_iter_payoff(Q, ev.sbar, p.quality.mean, sd_q,
-                                          sd_s, p.win_value, p.reject_cost,
-                                          p.discount, ban_periods=t)
+        ref, ref_t = oracles.value_iter_payoffs(
+            Q, ev.sbar, p.quality.mean, sd_q, sd_s, p.win_value,
+            p.reject_cost, p.discount, [1, t])
+        assert abs(x - ref) < 1e-8
         assert abs(xt - ref_t) < 1e-8
 
 

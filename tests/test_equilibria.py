@@ -10,9 +10,9 @@ from contest_eq import (ALWAYS_SUBMIT, NoConvergence, NoRoot, Normal,
                         NoExclusion, ProfileComponent, RejectionExclusion,
                         SignalExclusion, SubmissionProfile, TypeMix, ban_mass,
                         best_response, equilibrium_curves,
-                        evaluate_success, normal_model, solve_benchmark,
-                        solve_exclusion, solve_multi_period,
-                        solve_signal_cutoff, solve_two_type, solve_typed,
+                        evaluate_success, normal_model, solve,
+                        solve_benchmark, solve_exclusion, solve_multi_period,
+                        solve_signal_cutoff, solve_typed,
                         steady_state_profile, truncated_profile, win_mass)
 from contest_eq import core, distributions, equilibria
 
@@ -27,6 +27,25 @@ EVERY_POLICY = {"free_entry": NoExclusion(), "t1": RejectionExclusion(1),
                 "t5": RejectionExclusion(5), "t50": RejectionExclusion(50),
                 "signal_0": SignalExclusion(0.0),
                 "signal_inf": SignalExclusion(INF)}
+# each policy's public pooled solver
+PUBLIC_SOLVER = {"free_entry": solve_benchmark, "t1": solve_exclusion,
+                 "t5": lambda p: solve_multi_period(p, 5),
+                 "t50": lambda p: solve_multi_period(p, 50),
+                 "signal_0": lambda p: solve_signal_cutoff(p, 0.0),
+                 "signal_inf": lambda p: solve_signal_cutoff(p, INF)}
+
+
+@pytest.mark.parametrize("name", EVERY_POLICY)
+def test_solve_picks_the_typed_or_the_pooled_solver(name, model_v50,
+                                                    two_type_params):
+    # a type block solves the typed steady state, and a model without one
+    # the regime's public pooled solve, every outcome field equal
+    policy = EVERY_POLICY[name]
+    typed = solve(two_type_params, policy)
+    assert typed == solve_typed(two_type_params, policy)
+    assert len(typed.cutoffs) == 2
+    pooled = solve(model_v50, policy)
+    assert pooled == PUBLIC_SOLVER[name](model_v50)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +386,7 @@ def test_model_b_root_pass_clears_without_the_kernel(model_v50, monkeypatch,
 
     monkeypatch.setattr(equilibria, "_clearing_thresholds", refused)
     monkeypatch.setattr(equilibria, "_batch_residuals", refused)
-    out = policy.solve(model_v50)
+    out = solve(model_v50, policy)
     assert out.residual < 1e-8
     assert len(out.root_clearing) == len(out.all_roots) == 1
     assert abs(out.sbar - core.signal_cutoff(out.profile, model_v50)) < 1e-13
@@ -399,7 +418,7 @@ def test_model_b_solve_screens_most_scan_rows_from_the_orthant(
 
     monkeypatch.setattr(core, "_normal_orthant", counted)
     monkeypatch.setattr(equilibria, "_sign_residuals", counted_sign)
-    policy.solve(model_v50)
+    solve(model_v50, policy)
     assert sum(evaluated) <= bound
     assert len(sign_calls) <= 4
 
@@ -419,7 +438,7 @@ def test_empty_scan_interval_raises_before_any_residual_call(monkeypatch):
         for policy in (NoExclusion(), RejectionExclusion(1),
                        SignalExclusion(-INF)):
             with pytest.raises(NoRoot):
-                policy.solve(params)
+                solve(params, policy)
 
 
 def _scan_with_zero_at_grid_point(params, shape):
@@ -501,7 +520,7 @@ def two_type_params():
 
 @pytest.fixture(scope="module")
 def two_type_outcome(two_type_params):
-    return solve_two_type(two_type_params)
+    return solve(two_type_params, RejectionExclusion(1))
 
 
 def test_two_type_matches_reference(two_type_outcome):
@@ -538,9 +557,9 @@ def test_two_type_identical_types_collapse_to_pooled(policy):
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
     out = solve_typed(p, policy)
-    pooled = policy.solve(normal_model(0.0, 2.0, 5.0, reject_cost=1.0,
-                                       win_value=50.0, budget=0.1,
-                                       discount=0.97))
+    pooled = solve(normal_model(0.0, 2.0, 5.0, reject_cost=1.0,
+                                win_value=50.0, budget=0.1, discount=0.97),
+                   policy)
     assert out.regime == pooled.regime
     assert abs(out.cutoffs[0] - pooled.cutoff) < 1e-8
     assert abs(out.cutoffs[1] - pooled.cutoff) < 1e-8
@@ -594,8 +613,6 @@ def test_typed_solver_needs_a_type_block_of_any_size(model_v50):
         assert abs(funded - p.budget) < 1e-9
     with pytest.raises(ValueError, match="type block"):
         solve_typed(model_v50, RejectionExclusion(1))
-    with pytest.raises(ValueError, match="type block"):
-        solve_two_type(model_v50)
 
 
 def _corner_model(mean_hi, budget):
@@ -643,7 +660,7 @@ def test_two_type_random_draw_meets_contracts():
     p = normal_model(var_signal=2.6794088921934254, reject_cost=1.0,
                      win_value=5.134335821866616, budget=0.11562367818752538,
                      discount=0.8800258747035015, types=types)
-    out = solve_two_type(p)
+    out = solve(p, RejectionExclusion(1))
     assert out.residual < 1e-8
     assert out.eligibility_residual < 1e-9
     assert out.cutoffs[0] > out.cutoffs[1]
@@ -739,7 +756,7 @@ def test_two_type_root_missing_its_contract_raises(two_type_params,
     # the budget by far more than the 1e-9 contract
     monkeypatch.setattr(equilibria, "_TYPED_ROOT_TOL", 1e-2)
     with pytest.raises(NoConvergence) as info:
-        solve_two_type(two_type_params)
+        solve(two_type_params, RejectionExclusion(1))
     assert info.value.best_residual > 1e-8
 
 
@@ -755,7 +772,7 @@ def test_typed_outcome_records_every_root(two_type_params, two_type_outcome,
         return roots + [roots[0] + 1.0]
 
     monkeypatch.setattr(equilibria, "_scan_roots", with_a_second_root)
-    out = solve_two_type(two_type_params)
+    out = solve(two_type_params, RejectionExclusion(1))
     first, second = out.all_roots
     assert first == out.cutoffs == two_type_outcome.cutoffs
     assert second[0] > first[0] and second[1] > first[1]
@@ -816,7 +833,7 @@ def test_equilibrium_is_a_best_response_to_itself(policy, model_v30,
     # steady-state payoff, so the equilibrium cutoff is the best response to
     # the profile it regenerates
     for p in (model_v30, model_v50, model_v20):
-        out = policy.solve(p)
+        out = solve(p, policy)
         profile = steady_state_profile(p, out.cutoff, policy)
         assert abs(best_response(profile, p, policy) - out.cutoff) < 1e-9
 

@@ -3,8 +3,8 @@ box: V/C over six decades, k and delta in (0, 1), var_s/var_q from 1e-4 to
 1e2, ban lengths up to 1e4 and signal bars across +-inf, with review noise
 centred off zero.  Each example evaluates the residual on one grid, one
 clearing solve or the bisections of one best response, quantile or winner
-comparison; the root-pass properties run the root search, and only the
-contract property runs full pooled solves."""
+comparison; the root-pass properties run the root search, and the contract,
+corner and exclusion-order properties run full pooled solves."""
 
 import contextlib
 import math
@@ -13,13 +13,16 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from contest_eq import (BracketFailure, Mixture, NoConvergence, NoExclusion,
-                        Normal, RejectionExclusion, SignalExclusion, TypeMix,
-                        ban_mass, best_response, compare_winners,
-                        evaluate_success, lifetime_payoff, normal_model,
+from contest_eq import (ALWAYS_SUBMIT, BracketFailure, Mixture, NoConvergence,
+                        NoExclusion, Normal, RejectionExclusion,
+                        SignalExclusion, TypeMix, ban_mass, best_response,
+                        compare_winners, evaluate_success, lifetime_payoff,
+                        normal_model, solve, solve_benchmark,
+                        solve_exclusion, solve_signal_cutoff,
                         steady_state_profile, truncated_profile,
                         winner_density)
 from contest_eq import analysis, core, distributions, equilibria
@@ -92,13 +95,117 @@ def test_pooled_solve_meets_its_contract_or_raises(params, policy):
     meets the 1e-8 residual contract and clears the market: away from the
     always-submit corner its funded mass is the budget."""
     try:
-        out = policy.solve(params)
+        out = solve(params, policy)
     except (NoRoot, NoConvergence, BracketFailure):
         return
     assert out.residual < 1e-8
     if not out.corner:
         funded = oracles.funded_mass(out.profile, out.sbar, params.noise)
         assert abs(funded - params.budget) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.one_of(st.just(NoExclusion()),
+                           st.integers(1, 10_000).map(RejectionExclusion)))
+def test_rejection_bans_and_free_entry_never_take_the_corner(params, policy):
+    """Full-entry eligibility is (1 + tk) / (1 + t) > k under rejection bans
+    and 1 under free entry, so the budget never covers it and no solve
+    returns the always-submit corner."""
+    k = params.budget
+    assert policy.eligibility(0.0, policy.ban(0.0, None), k) > k
+    try:
+        out = solve(params, policy)
+    except (NoRoot, NoConvergence, BracketFailure):
+        return
+    assert not out.corner and out.cutoff > ALWAYS_SUBMIT
+
+
+def _outcome_or_error(solver, *args):
+    try:
+        return solver(*args)
+    except (NoRoot, NoConvergence, BracketFailure) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.one_of(st.just(INF), st.floats(-5.0, 5.0)))
+def test_signal_corner_through_solve_is_the_public_solvers(params, sbar):
+    """A signal bar solved through `solve` is `solve_signal_cutoff`'s
+    outcome, and it is the corner exactly when the budget covers the
+    full-entry eligibility of `steady_state_profile`."""
+    policy = SignalExclusion(sbar)
+    out = _outcome_or_error(solve, params, policy)
+    assert out == _outcome_or_error(solve_signal_cutoff, params, sbar)
+    full = steady_state_profile(params, ALWAYS_SUBMIT,
+                                policy).components[0].eligibility
+    if params.budget >= full:
+        assert out.corner and out.eligibility == (full,)
+    else:
+        assert isinstance(out, tuple) or not out.corner
+
+
+# the V/C box of `models()`, in log10
+LOG_VC_BOX = (-1.0, 5.0)
+
+
+def _exclusion_sign(params, log_vc):
+    """At each V/C of the log10 array `log_vc`: the one-period-ban sign
+    residual at the free-entry root c_b, which is <= 0 exactly when the
+    exclusion cutoff is at least c_b (with one exclusion root)."""
+    signs = []
+    for x in np.ravel(log_vc).tolist():
+        p = replace(params, win_value=params.reject_cost * 10.0 ** x)
+        c_b = solve_benchmark(p).cutoff
+        signs.append(_sign_residuals(p, RejectionExclusion(1), [c_b])[0])
+    return np.reshape(signs, np.shape(log_vc))
+
+
+def _exclusion_thresholds(params, points=25, tol=1e-3):
+    """Every log10 V/C in `LOG_VC_BOX` where `_exclusion_sign` changes
+    sign: a scan of `points` V/C values, then `_bisect_root` on each
+    bracket to `tol`.  The paper's claim is one crossing, above which
+    exclusion raises the cutoff."""
+    grid = np.linspace(*LOG_VC_BOX, points)
+    signs = _exclusion_sign(params, grid)
+    i = np.nonzero((signs[:-1] > 0.0) != (signs[1:] > 0.0))[0]
+    if not i.size:
+        return []
+    return distributions._bisect_root(
+        lambda x: _exclusion_sign(params, x), grid[i], grid[i + 1],
+        signs[i], tol).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(models())
+def test_exclusion_raises_the_cutoff_exactly_where_its_sign_says(params):
+    """The headline claim as a sign: wherever one-period bans have one
+    steady state, their residual at the free-entry root is <= 0 exactly
+    when exclusion's cutoff is at least free entry's."""
+    try:
+        bench, excl = solve_benchmark(params), solve_exclusion(params)
+    except (NoRoot, NoConvergence, BracketFailure):
+        return
+    if len(excl.all_roots) != 1:
+        return
+    sign = _sign_residuals(params, RejectionExclusion(1), [bench.cutoff])[0]
+    assert (sign <= 0.0) == (excl.cutoff >= bench.cutoff)
+
+
+@pytest.mark.parametrize("var_q, var_s, delta", [
+    (1.0, 2.0, 0.97), (2.0, 5.0, 0.97), (1.0, 1.0, 0.85)],
+    ids=["A", "B", "C"])
+def test_exclusion_selects_more_above_one_prize_threshold(var_q, var_s,
+                                                          delta):
+    """On the pinned models the sign changes once in the V/C box, and the
+    solved cutoffs order on either side of the crossing as it says."""
+    params = normal_model(0.0, var_q, var_s, reject_cost=1.0, budget=0.1,
+                          discount=delta)
+    (x,) = _exclusion_thresholds(params)
+    for side in (-0.05, 0.05):
+        p = replace(params, win_value=10.0 ** (x + side))
+        excl = solve_exclusion(p)
+        assert len(excl.all_roots) == 1
+        assert (excl.cutoff >= solve_benchmark(p).cutoff) == (side > 0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,9 +8,9 @@ import pytest
 from contest_eq import (NEVER_SUBMIT, NoExclusion, Normal, RejectedValue,
                         RejectionExclusion, SignalExclusion, SimConfig,
                         SuccessEvaluation, TypeMix, empirical_best_response,
-                        lifetime_payoff, normal_model, run_simulation,
+                        lifetime_payoff, normal_model, run_simulation, solve,
                         solve_multi_period, solve_signal_cutoff,
-                        solve_two_type, trend_statistic)
+                        trend_statistic)
 from reference import V50_ALPHA1, V50_Q1
 
 # medium-size runs keep this module fast; the full-scale cross-validation
@@ -162,7 +162,7 @@ def test_two_type_eligibility_tracking():
     types = (TypeMix(0.5, Normal(0.5, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
-    out = solve_two_type(p)
+    out = solve(p, RejectionExclusion(1))
     cfg = SimConfig(seed=9, policy=RejectionExclusion(1), cutoffs=out.cutoffs,
                     n_agents=N_AGENTS, n_periods=N_PERIODS, burn_in=BURN_IN,
                     initial_eligibility=out.eligibility)
@@ -218,7 +218,7 @@ def test_empirical_best_response_is_unbiased(model_v20, policy, noise_mean):
     # form, so the replay's mean over seeds must sit within 5 standard
     # errors of it for every candidate (horizon 128 at delta = 0.85)
     params = dataclasses.replace(model_v20, noise=Normal(noise_mean, 1.0))
-    out = policy.solve(params)
+    out = solve(params, policy)
     cfg = SimConfig(seed=0, policy=policy, cutoffs=(out.cutoff,),
                     n_agents=1000, n_periods=20, burn_in=10)
     res = run_simulation(cfg, params)
