@@ -1,7 +1,7 @@
 """Equilibria of repeated contests under temporary-exclusion policies."""
 
 from .distributions import (Mixture, NonFiniteIntegrand, Normal, OutOfRange,
-                            RejectedValue, ScalarDistribution, integrate)
+                            RejectedValue, integrate)
 from .core import (ALWAYS_SUBMIT, NEVER_SUBMIT, BracketFailure, ModelParams,
                    NoExclusion, ProfileComponent, RejectionExclusion,
                    SignalExclusion, SubmissionProfile, SuccessEvaluation,

@@ -55,12 +55,12 @@ class DominanceReport:
     verdict is one of "first_order_dominates" (first argument dominates),
     "dominated_by", "single_crossing" (with the crossing quality qbar), or
     "incomparable" (which also covers the identical-inputs degenerate case,
-    where dominance holds both ways within the slack).
+    where dominance holds both ways within the slack).  cdf_diff is the
+    first density's cumulative mass less the second's on their grid.
     """
 
     verdict: str
     qbar: float | None
-    grid: np.ndarray
     cdf_diff: np.ndarray
 
 
@@ -125,16 +125,16 @@ def compare_winners(h, h0):
     h_dominates = bool(np.all(cdf_diff <= _SLACK))
     h0_dominates = bool(np.all(cdf_diff >= -_SLACK))
     if h_dominates and h0_dominates:
-        return DominanceReport("incomparable", None, grid, cdf_diff)
+        return DominanceReport("incomparable", None, cdf_diff)
     if h_dominates:
-        return DominanceReport("first_order_dominates", None, grid, cdf_diff)
+        return DominanceReport("first_order_dominates", None, cdf_diff)
     if h0_dominates:
-        return DominanceReport("dominated_by", None, grid, cdf_diff)
+        return DominanceReport("dominated_by", None, cdf_diff)
 
     qbar = _single_crossing_point(h, h0, grid, diff)
     if qbar is not None:
-        return DominanceReport("single_crossing", qbar, grid, cdf_diff)
-    return DominanceReport("incomparable", None, grid, cdf_diff)
+        return DominanceReport("single_crossing", qbar, cdf_diff)
+    return DominanceReport("incomparable", None, cdf_diff)
 
 
 def _single_crossing_point(h, h0, grid, diff):

@@ -67,7 +67,6 @@ class RunConfig:
     """Validated run description assembled from a config document."""
 
     params: ModelParams
-    regime: str
     policy: object
     sim: SimConfig
     cutoffs: tuple[float, ...] | None
@@ -169,8 +168,7 @@ def parse_config(text, overrides=()):
     grid_size = out.get("grid_size", 1000)
     if grid_size < 100:
         raise ValidationError("grid_size must be at least 100")
-    return RunConfig(params=params, regime=regime, policy=policies[regime],
-                     sim=sim_cfg,
+    return RunConfig(params=params, policy=policies[regime], sim=sim_cfg,
                      cutoffs=tuple(sim[key] for key in given) or None,
                      sweep_axis=axis, sweep_values=sweep_sec.get("values", ()),
                      output_path=out.get("path", "out.csv"),
@@ -291,7 +289,7 @@ def _cmd_simulate(cfg):
 
 def _cmd_compare(cfg):
     base = solve_benchmark(cfg.params)
-    other = base if cfg.regime == "benchmark" \
+    other = base if cfg.policy == NoExclusion() \
         else solve(cfg.params, cfg.policy)
     h0 = winner_density(base.profile, cfg.params, cfg.grid_size)
     h = winner_density(other.profile, cfg.params, cfg.grid_size)
@@ -407,16 +405,13 @@ def main(argv=None):
         if args.out is not None:
             cfg.output_path = args.out
         return run_command(cfg)
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError, *_SOLVER_ERRORS) as exc:
+        # a failed solve exits 1 and a config error 2; a programming error
+        # propagates
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except _SOLVER_ERRORS as exc:  # a programming error propagates
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 1 if isinstance(exc, _SOLVER_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
-from .distributions import (TRUNCATION_SIGMAS, Mixture, Normal,
-                            RejectedValue, ScalarDistribution)
+from .distributions import TRUNCATION_SIGMAS, Mixture, Normal, RejectedValue
 
 # Entry cutoffs are extended reals: comparisons and cdf evaluation are the
 # only operations ever applied to the infinite values.
@@ -72,7 +71,7 @@ class ModelParams:
     reject_cost: float
     budget: float
     discount: float
-    quality: ScalarDistribution | None
+    quality: Normal | Mixture | None
     noise: Normal
     types: tuple[TypeMix, ...] | None = None
 
@@ -123,7 +122,7 @@ def normal_model(mean_quality=0.0, var_quality=1.0, var_signal=2.0,
 
 @dataclass(frozen=True)
 class ProfileComponent:
-    base: ScalarDistribution
+    base: Normal | Mixture
     cutoff: float
     eligibility: float = 1.0
     weight: float = 1.0
@@ -170,14 +169,6 @@ class SubmissionProfile:
             his.append(hi)
         return min(los), max(his)
 
-    def scaled(self, factor):
-        """Pointwise scaling (eligibility shrunk by `factor`)."""
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("scaling factor must lie in (0, 1]")
-        return SubmissionProfile(tuple(
-            ProfileComponent(c.base, c.cutoff, c.eligibility * factor, c.weight)
-            for c in self.components))
-
 
 def truncated_profile(base, cutoff, eligibility=1.0):
     """Single-component profile: share `eligibility` submits above `cutoff`."""
@@ -194,7 +185,7 @@ class SuccessEvaluation:
     """
 
     sbar: float
-    noise: ScalarDistribution
+    noise: Normal
 
     def win_prob(self, q):
         q = np.asarray(q, dtype=float)

@@ -1,13 +1,14 @@
-"""Scalar distributions, the quadrature kernel and the one bisection.
+"""The two laws, the quadrature kernel and the one bisection.
 
-Quality and review noise are normal, and a heterogeneous population's
-quality is a mixture of normal types.  Every mass the package needs is then
-a bivariate-normal orthant probability in closed form
-(`core._upper_mass`); mixtures sum their parts.  `integrate` remains the
-public quadrature: one composite Gauss-Legendre rule whose infinite limits
-are truncated at mean +- TRUNCATION_SIGMAS standard deviations of the
-governing distribution; for normal tails the mass beyond 10 sigma is
-~1e-23, far below every tolerance used downstream.
+Quality and review noise are `Normal`, and a heterogeneous population's
+quality is a `Mixture` of normal types; each law has a mean, a stddev and
+a `support_hint`, the truncation interval for numerical integrals.  Every
+mass the package needs is then a bivariate-normal orthant probability in
+closed form (`core._upper_mass`); mixtures sum their parts.  `integrate`
+remains the public quadrature: one composite Gauss-Legendre rule whose
+infinite limits are truncated at mean +- TRUNCATION_SIGMAS standard
+deviations of the governing distribution; for normal tails the mass beyond
+10 sigma is ~1e-23, far below every tolerance used downstream.
 """
 
 from __future__ import annotations
@@ -140,47 +141,12 @@ def integrate(f, lo, hi, support=None):
     return float(np.dot((half[:, None] * _GL_WEIGHTS).ravel(), values))
 
 
-class ScalarDistribution:
-    """Continuous scalar distribution: pdf, cdf, quantile, sampler.
-
-    The package's two laws are `Normal` and a `Mixture` of normals; model
-    constructors reject anything else.  Subclasses set `support_hint` (the
-    truncation interval for numerical integrals), `mean` and `stddev`,
-    provide pdf, cdf (exact at +-inf) and `sample`, and may override the
-    bisection quantile.
-    """
-
-    support_hint: tuple[float, float]
-    mean: float
-    stddev: float
-
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def quantile(self, p):
-        """Inverse cdf; synthesized by bisection unless overridden."""
-        _check_prob(p)
-        lo, hi = self.support_hint
-        span = hi - lo
-        # widen a support hint too tight for an extreme p
-        while self.cdf(lo) >= p:
-            lo -= span
-        while self.cdf(hi) <= p:
-            hi += span
-        return _bisect_root(lambda q: self.cdf(q) - p, lo, hi,
-                            self.cdf(lo) - p,
-                            1e-14 * max(1.0, abs(lo), abs(hi)))
-
-
 def _check_prob(p):
     if not 0.0 < p < 1.0:
         raise OutOfRange(f"probability must lie in (0, 1), got {p}")
 
 
-class Normal(ScalarDistribution):
+class Normal:
     """Normal distribution parameterized by mean and variance."""
 
     def __init__(self, mean, variance):
@@ -215,8 +181,8 @@ class Normal(ScalarDistribution):
         return rng.normal(self.mean, self.stddev, size)
 
 
-class Mixture(ScalarDistribution):
-    """Finite mixture of scalar distributions (population of types)."""
+class Mixture:
+    """Finite mixture of normals (population of types)."""
 
     def __init__(self, parts):
         parts = tuple((float(w), d) for w, d in parts)
@@ -240,10 +206,25 @@ class Mixture(ScalarDistribution):
         out = sum(w * np.asarray(d.cdf(x), dtype=float) for w, d in self.parts)
         return out if np.ndim(out) else float(out)
 
+    def quantile(self, p):
+        """Inverse cdf by bisection."""
+        _check_prob(p)
+        lo, hi = self.support_hint
+        span = hi - lo
+        # widen a support hint too tight for an extreme p
+        while self.cdf(lo) >= p:
+            lo -= span
+        while self.cdf(hi) <= p:
+            hi += span
+        return _bisect_root(lambda q: self.cdf(q) - p, lo, hi,
+                            self.cdf(lo) - p,
+                            1e-14 * max(1.0, abs(lo), abs(hi)))
+
     def sample(self, rng, size):
         u = rng.random(size)
         draws = np.stack([d.sample(rng, size) for _, d in self.parts])
         edges = np.cumsum([w for w, _ in self.parts])
         idx = np.searchsorted(edges, u, side="right")
         idx = np.minimum(idx, len(self.parts) - 1)
-        return draws[idx, np.arange(np.prod(size) if np.ndim(size) else size)]
+        # each draw from the part its uniform picked, for any size
+        return np.take_along_axis(draws, idx[None], axis=0)[0]

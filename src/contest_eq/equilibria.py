@@ -28,10 +28,10 @@ from scipy.special import ndtri
 
 from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
-                   SuccessEvaluation, _clearing_thresholds, _payoff,
-                   _signal_density, _upper_mass, _upper_mass_bounds, ban_mass,
-                   evaluate_success, lifetime_payoff, truncated_profile,
-                   welfare, win_mass)
+                   SuccessEvaluation, _BUDGET_EPS, _clearing_thresholds,
+                   _payoff, _signal_density, _upper_mass, _upper_mass_bounds,
+                   ban_mass, lifetime_payoff, signal_cutoff,
+                   truncated_profile, welfare, win_mass)
 from .distributions import TREE_LEVELS, _bisect_root
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
@@ -39,6 +39,7 @@ from .distributions import TREE_LEVELS, _bisect_root
 # shows the smallest root lies below.
 GRID_POINTS = 2000
 _GRID_FLOOR_P = 1e-6
+# every root's final bracket width, a pooled cutoff or a typed threshold
 _ROOT_TOL = 1e-10
 # a root's one-step clearing threshold stands when the funded mass at this
 # half width on either side of it differs from the budget by more than
@@ -53,9 +54,8 @@ _WINDOW_RATIO = 4.0
 _SCREEN_MARGIN = 1e-13
 # every returned steady state meets its equilibrium residual to this level
 _RESIDUAL_CONTRACT = 1e-8
-# the typed scan's points (each a bisection per type) and roots' width
+# the typed scan's points (each a bisection per type)
 _TYPED_GRID_POINTS = 32
-_TYPED_ROOT_TOL = 1e-10
 
 
 class NoRoot(RuntimeError):
@@ -114,25 +114,30 @@ def steady_state_profile(params, cutoff, policy):
 
 
 def _steady_state(params, policy, grid):
-    """(rhs, eligibility, interior) arrays of the steady state at every
+    """(rhs, eligibility, interior, s*) arrays of the steady state at every
     cutoff of a grid array, every mass in closed form and no clearing
     solve.
 
     The indifference level rhs is the best-response one at the
     steady-state payoff: every eligible researcher wins k / eligibility per
     period and is rejected 1 - F - k / eligibility.  A row is interior when
-    its submitted volume exceeds the budget.
+    its submitted volume exceeds the budget by more than _BUDGET_EPS.  s*
+    is the threshold that each cutoff c clears with probability rhs,
+    s* = c + mean_e - sd_e Phi^-1(rhs) (+inf for rhs <= 0 and -inf for
+    rhs >= 1); the clearing mass there is
+    M(s*) = eligibility x P(q >= c, q + e >= s*), one orthant per row.
     """
-    f, k = params.quality, params.budget
+    f, noise, k = params.quality, params.noise, params.budget
     F = np.asarray(f.cdf(grid), dtype=float)
-    ban = policy.ban(F, lambda s: ban_mass(grid, s, f, params.noise))
+    ban = policy.ban(F, lambda s: ban_mass(grid, s, f, noise))
     elig = policy.eligibility(F, ban, k)
     win = k / elig
     reject = 1.0 - F - win
     payoff = _payoff(win, reject, policy.payoff_ban(reject, ban, params),
                      params)
     rhs = policy.indifference(grid, payoff, params)
-    return rhs, elig, elig * (1.0 - F) > k + 1e-12
+    s_star = grid + noise.mean - noise.stddev * ndtri(np.clip(rhs, 0.0, 1.0))
+    return rhs, elig, elig * (1.0 - F) > k + _BUDGET_EPS, s_star
 
 
 def _batch_residuals(params, policy, grid):
@@ -146,7 +151,7 @@ def _batch_residuals(params, policy, grid):
     rhs being that indifference level.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    rhs, elig, interior = _steady_state(params, policy, grid)
+    rhs, elig, interior, _ = _steady_state(params, policy, grid)
     resid, sbar = _residuals_at(params, grid, rhs, elig, interior,
                                 np.full(grid.size, math.nan))
     return resid, rhs, interior, sbar, elig
@@ -169,18 +174,6 @@ def _residuals_at(params, grid, rhs, elig, interior, sbar):
     return w_at - rhs, sbar
 
 
-def _indifferent_threshold(params, policy, grid):
-    """(rhs, eligibility, interior, s*) arrays on a cutoff grid: the steady
-    state (`_steady_state`) and the threshold that each cutoff c clears with
-    probability rhs, s* = c + mean_e - sd_e Phi^-1(rhs) (+inf for rhs <= 0
-    and -inf for rhs >= 1).  The clearing mass there is
-    M(s*) = eligibility x P(q >= c, q + e >= s*), one orthant per row."""
-    noise = params.noise
-    rhs, elig, interior = _steady_state(params, policy, grid)
-    s_star = grid + noise.mean - noise.stddev * ndtri(np.clip(rhs, 0.0, 1.0))
-    return rhs, elig, interior, s_star
-
-
 def _sign_residuals(params, policy, grid):
     """A residual with the sign of `_batch_residuals`' on a cutoff grid,
     without solving market clearing; each entry equals a size-1 call bit
@@ -188,7 +181,7 @@ def _sign_residuals(params, policy, grid):
 
     The clearing mass M(s) falls strictly in s, so quality c wins with
     probability above rhs exactly when M is below the budget at s*, the
-    threshold that c clears with probability rhs (`_indifferent_threshold`).
+    threshold that c clears with probability rhs (`_steady_state`).
     Interior rows return k - M(s*); under-subscribed rows fund everyone and
     return the residual 1 - rhs itself.  Two tails bound M(s*) first
     (`_upper_mass_bounds`): a row whose lower bound exceeds the budget, or
@@ -198,7 +191,7 @@ def _sign_residuals(params, policy, grid):
     """
     f, noise, k = params.quality, params.noise, params.budget
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    rhs, elig, interior, s_star = _indifferent_threshold(params, policy, grid)
+    rhs, elig, interior, s_star = _steady_state(params, policy, grid)
     lower, upper = _upper_mass_bounds(f, grid, noise, s_star)
     # k - M(s*) lies in [least, most]
     least, most = k - elig * upper, k - elig * lower
@@ -216,7 +209,7 @@ def _root_pass(params, policy, roots):
     the clearing ones as in `_batch_residuals`; each entry equals a size-1
     call bit for bit.
 
-    At a root polished to 1e-10 the threshold s* (`_indifferent_threshold`)
+    At a root polished to 1e-10 the threshold s* (`_steady_state`)
     lies within about 1e-11 of the clearing one, so one Newton step of the
     clearing mass from s* solves clearing: sbar = s* + (M(s*) - k) / -M'(s*).
     A step is kept when the funded mass straddles the budget at
@@ -229,7 +222,7 @@ def _root_pass(params, policy, roots):
     """
     f, noise, k = params.quality, params.noise, params.budget
     roots = np.atleast_1d(np.asarray(roots, dtype=float))
-    rhs, elig, interior, s_star = _indifferent_threshold(params, policy, roots)
+    rhs, elig, interior, s_star = _steady_state(params, policy, roots)
     mass = elig * _upper_mass(f, roots, noise, s_star)
     with np.errstate(all="ignore"):
         sbar = s_star + (mass - k) / (elig * _signal_density(f, roots, noise,
@@ -457,7 +450,7 @@ def best_response(profile, params, policy):
     """Optimal stationary entry cutoff against a fixed recurrent profile,
     the best response to its clearing threshold (`_best_responses`): -inf
     (always submit) when that is -inf and everyone wins."""
-    sbar = evaluate_success(profile, params).sbar
+    sbar = signal_cutoff(profile, params)
     return float(_best_responses(params, policy, params.quality, sbar))
 
 
@@ -539,7 +532,7 @@ def solve_typed(params, policy):
         roots = np.array(_scan_roots(
             lambda s: -_type_state(params, policy, cutoffs_at(s), s)[1][-1],
             lo, hi, floor - 60.0 * params.noise.stddev, _TYPED_GRID_POINTS,
-            _TYPED_ROOT_TOL))
+            _ROOT_TOL))
         if not roots.size:
             raise NoRoot(f"no typed steady state found for {policy}")
         q = cutoffs_at(roots)

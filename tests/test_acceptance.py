@@ -157,7 +157,8 @@ def test_criterion_6_assumption_suite():
                          budget=rng.uniform(0.05, 0.3),
                          discount=rng.uniform(0.6, 0.97))
         Q = p.quality.quantile(rng.uniform(0.05, 0.6))
-        profile = truncated_profile(p.quality, Q, rng.uniform(0.6, 1.0))
+        elig = rng.uniform(0.6, 1.0)
+        profile = truncated_profile(p.quality, Q, elig)
         if profile.volume() <= p.budget:
             continue
         ev = evaluate_success(profile, p)
@@ -166,7 +167,8 @@ def test_criterion_6_assumption_suite():
         qs = ev.sbar + np.linspace(-7.0, 7.0, 1000) * p.noise.stddev
         monotone_ok &= bool(np.all(np.diff(ev.win_prob(qs)) > 0.0))
         if nested_checked < 10:
-            small = profile.scaled(rng.uniform(0.4, 0.95))
+            small = truncated_profile(p.quality, Q,
+                                      elig * rng.uniform(0.4, 0.95))
             if small.volume() > p.budget:
                 ev_small = evaluate_success(small, p)
                 grid = np.linspace(*p.quality.support_hint, 1000)

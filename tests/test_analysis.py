@@ -122,6 +122,19 @@ def test_winner_density_rejects_small_grid(model_v50):
         winner_density(profile, model_v50, grid_size=10)
 
 
+def test_densities_on_different_grids_do_not_compare(model_v50):
+    profile = truncated_profile(model_v50.quality, 0.0)
+    coarse = winner_density(profile, model_v50, grid_size=100)
+    fine = winner_density(profile, model_v50, grid_size=200)
+    with pytest.raises(ValueError, match="share a grid"):
+        compare_winners(coarse, fine)
+
+
+def test_sweep_rejects_an_unknown_axis(model_v50):
+    with pytest.raises(ValueError, match="unknown sweep axis"):
+        sweep(model_v50, "mu", [0.0])
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contest_eq import cli, equilibria
+from contest_eq import NoExclusion, cli, equilibria
 from contest_eq.cli import (ParseError, ValidationError, main, parse_config,
                             run_command)
 
@@ -84,7 +84,7 @@ def test_parse_config_echoes_model_values(tmp_path):
     assert p.quality.mean == 0.0 and p.quality.stddev == 1.0
     assert p.noise.stddev == math.sqrt(2.0)
     assert p.win_value == 30.0 and p.reject_cost == 1.0 and p.budget == 0.1
-    assert cfg.regime == "benchmark"
+    assert cfg.policy == NoExclusion()
 
 
 def test_parse_config_applies_default_discount(tmp_path):
@@ -295,6 +295,7 @@ def test_override_pads_are_stripped_before_the_section_lookup(tmp_path,
     ("free_entry.ini", ["sim.cutoff_H=1", "sim.cutoff_L=0"]),
     ("two_type.ini", ["sim.cutoff=1"]),
     ("two_type.ini", ["sim.cutoff=1", "sim.cutoff_H=1", "sim.cutoff_L=0"]),
+    ("two_type.ini", ["sim.cutoff_H=1"]),
 ])
 def test_sim_cutoffs_must_match_the_type_block(config, cutoffs, capsys):
     argv = ["simulate", "--config", str(CONFIGS / config),
@@ -331,6 +332,38 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, overrides):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command, text, overrides, error", [
+    ("solve", "[model\nV = 30\n", [], "ParseError"),
+    ("solve", None, ["model.V"], "ParseError"),
+    ("solve", None, ["V=30"], "ParseError"),
+    ("solve", None, ["sweep.axis=mu"], "ValidationError"),
+    ("solve", None, ["output.grid_size=99"], "ValidationError"),
+    ("sweep", None, [], "ValidationError"),
+], ids=["syntax", "no-equals", "no-section", "sweep-axis", "grid-size",
+        "sweep-without-axis"])
+def test_config_errors_exit_2_with_a_typed_record(tmp_path, capsys, command,
+                                                  text, overrides, error):
+    doc_path = tmp_path / "cfg.ini"
+    doc_path.write_text(text or V30_DOC.format(path=tmp_path / "o.csv"))
+    argv = [command, "--config", str(doc_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == error
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_without_a_csv_suffix_appends_summary(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(CONFIGS / "free_entry.ini"),
+                 "--set", "sim.seed=1", "--set", "sim.n_agents=1000",
+                 "--set", "sim.n_periods=20", "--set", "sim.burn_in=5",
+                 "--out", str(out)]) == 0
+    assert len(_read_rows(out)) == 20
+    assert len(_read_rows(tmp_path / "run_summary")) == 1
 
 
 def test_long_ban_solve_meets_residual_contract(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contest_eq import (ALWAYS_SUBMIT, NEVER_SUBMIT, Mixture, Normal,
-                        ProfileComponent, RejectionExclusion,
-                        ScalarDistribution, SignalExclusion,
+                        ProfileComponent, RejectionExclusion, SignalExclusion,
                         SubmissionProfile,
                         ban_mass, evaluate_success, lifetime_payoff,
                         normal_model, signal_cutoff,
@@ -25,7 +24,7 @@ INF = math.inf
 # model primitives take normal laws only
 
 
-class _NotNormal(ScalarDistribution):
+class _NotNormal:
     """A stand-in for any non-normal law."""
 
 
@@ -85,8 +84,9 @@ def test_clearing_full_participation_matches_brute_force(model_v30):
 def test_halving_competition_lowers_the_bar(model_v50):
     p = model_v50
     profile = truncated_profile(p.quality, -1.0)
-    assert profile.scaled(0.5).volume() > p.budget
-    assert signal_cutoff(profile.scaled(0.5), p) < signal_cutoff(profile, p)
+    halved = truncated_profile(p.quality, -1.0, 0.5)
+    assert halved.volume() > p.budget
+    assert signal_cutoff(halved, p) < signal_cutoff(profile, p)
 
 
 def test_exclusion_profile_clearing_threshold(model_v50, v50_exclusion):
@@ -420,8 +420,10 @@ def test_smaller_competition_raises_win_prob(model_v50):
     rng = np.random.default_rng(5)
     for _ in range(10):
         Q = p.quality.quantile(rng.uniform(0.05, 0.6))
-        big = truncated_profile(p.quality, Q, rng.uniform(0.7, 1.0))
-        small = big.scaled(rng.uniform(0.3, 0.95))
+        elig = rng.uniform(0.7, 1.0)
+        big = truncated_profile(p.quality, Q, elig)
+        small = truncated_profile(p.quality, Q,
+                                  elig * rng.uniform(0.3, 0.95))
         if small.volume() <= p.budget:
             continue
         ev_big = evaluate_success(big, p)

@@ -113,3 +113,18 @@ def test_mixture_density_and_weights():
         assert abs(mix.cdf(mix.quantile(p)) - p) < 1e-12 * p
     with pytest.raises(ValueError):
         Mixture([(0.6, Normal(0, 1)), (0.6, Normal(1, 1))])
+
+
+def test_mixture_sample_moments_and_shape():
+    # 0.3 N(0, 1) + 0.7 N(2, 0.5): mean 1.4, variance
+    # 0.3 + 0.35 + 0.7 * 4 - 1.4^2 = 1.49
+    mix = Mixture([(0.3, Normal(0.0, 1.0)), (0.7, Normal(2.0, 0.5))])
+    draws = mix.sample(np.random.default_rng(3), 200_000)
+    assert draws.shape == (200_000,)
+    assert abs(draws.mean() - 1.4) < 0.01
+    assert abs(draws.var() - 1.49) < 0.02
+    # a tuple size draws the same stream as its flat count, as Normal does
+    block = mix.sample(np.random.default_rng(4), (3, 4))
+    assert block.shape == (3, 4)
+    flat = mix.sample(np.random.default_rng(4), 12)
+    assert block.tobytes() == flat.reshape(3, 4).tobytes()

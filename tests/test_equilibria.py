@@ -754,7 +754,7 @@ def test_two_type_root_missing_its_contract_raises(two_type_params,
                                                    monkeypatch):
     # a funding threshold polished only to 1e-2 funds more or less than
     # the budget by far more than the 1e-9 contract
-    monkeypatch.setattr(equilibria, "_TYPED_ROOT_TOL", 1e-2)
+    monkeypatch.setattr(equilibria, "_ROOT_TOL", 1e-2)
     with pytest.raises(NoConvergence) as info:
         solve(two_type_params, RejectionExclusion(1))
     assert info.value.best_residual > 1e-8

@@ -191,6 +191,34 @@ def test_exclusion_raises_the_cutoff_exactly_where_its_sign_says(params):
     assert (sign <= 0.0) == (excl.cutoff >= bench.cutoff)
 
 
+@settings(max_examples=25, deadline=None)
+@given(models(), policies)
+def test_pooled_steady_state_is_a_best_response_to_itself(params, policy):
+    """Against the recurrent profile of a non-corner pooled steady state
+    the best response is its own cutoff."""
+    try:
+        out = solve(params, policy)
+    except (NoRoot, NoConvergence, BracketFailure):
+        return
+    if out.corner:
+        return
+    profile = steady_state_profile(params, out.cutoff, policy)
+    assert abs(best_response(profile, params, policy) - out.cutoff) < 1e-7
+
+
+@settings(max_examples=30, deadline=None)
+@given(models())
+def test_free_entry_cutoff_falls_when_the_prize_doubles(params):
+    """A larger prize draws more entry: the free-entry cutoff falls
+    strictly when V doubles."""
+    doubled = replace(params, win_value=2.0 * params.win_value)
+    try:
+        low, high = solve_benchmark(params), solve_benchmark(doubled)
+    except (NoRoot, NoConvergence, BracketFailure):
+        return
+    assert high.cutoff < low.cutoff
+
+
 @pytest.mark.parametrize("var_q, var_s, delta", [
     (1.0, 2.0, 0.97), (2.0, 5.0, 0.97), (1.0, 1.0, 0.85)],
     ids=["A", "B", "C"])
@@ -308,8 +336,7 @@ def test_screened_sign_residual_is_the_orthant_sign(params, policy):
     f, noise, k = params.quality, params.noise, params.budget
     grid = _cutoff_grid(params)
     sign = _sign_residuals(params, policy, grid)
-    _, elig, interior, s_star = equilibria._indifferent_threshold(
-        params, policy, grid)
+    _, elig, interior, s_star = equilibria._steady_state(params, policy, grid)
     exact = k - elig * core._upper_mass(f, grid, noise, s_star)
     lower, upper = core._upper_mass_bounds(f, grid, noise, s_star)
     margin = equilibria._SCREEN_MARGIN

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from contest_eq import (NEVER_SUBMIT, NoExclusion, Normal, RejectedValue,
                         lifetime_payoff, normal_model, run_simulation, solve,
                         solve_multi_period, solve_signal_cutoff,
                         trend_statistic)
+from contest_eq.cli import parse_config
 from reference import V50_ALPHA1, V50_Q1
 
 # medium-size runs keep this module fast; the full-scale cross-validation
@@ -192,6 +194,29 @@ def test_empirical_best_response_free_entry(model_v50):
     best, _ = empirical_best_response(cfg, model_v50, grid, result=res,
                                       replications=8000)
     assert abs(best - q0) <= 0.05 + 1e-12
+
+
+def test_empirical_best_response_on_a_type_block():
+    # the deviator draws its ideas from the population mixture of
+    # configs/two_type.ini
+    run = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                        / "two_type.ini").read_text())
+    out = solve(run.params, run.policy)
+    cfg = SimConfig(seed=11, policy=run.policy, cutoffs=out.cutoffs,
+                    n_agents=2000, n_periods=40, burn_in=10,
+                    initial_eligibility=out.eligibility)
+    grid = np.linspace(min(out.cutoffs) - 0.5, max(out.cutoffs) + 0.5, 11)
+    (best, payoffs), (again, repeat) = (
+        empirical_best_response(cfg, run.params, grid, replications=500,
+                                horizon=60) for _ in range(2))
+    assert best in grid.tolist()
+    assert np.all(np.isfinite(payoffs))
+    assert best == again and payoffs.tobytes() == repeat.tobytes()
+
+
+def test_trend_statistic_signs():
+    assert trend_statistic(np.linspace(1.0, 0.0, 50)) < 0.0
+    assert trend_statistic(np.full(50, 0.3)) == 0.0
 
 
 def test_empirical_best_response_undersubscribed_prefers_entry(model_v50):
