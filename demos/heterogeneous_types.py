@@ -3,16 +3,17 @@
 With bans in place, a researcher who expects better ideas tomorrow has more
 to lose from sitting out a period, so the stronger type self-selects harder:
 its entry cutoff is strictly higher even though the review process itself is
-type-blind.  The type block composes with every exclusion policy.
+type-blind.  The type block is the quality `Mixture`, whose (share, Normal)
+parts are the types, and it composes with every exclusion policy.
 """
 
-from contest_eq import (Normal, RejectionExclusion, SignalExclusion, TypeMix,
+from contest_eq import (Normal, RejectionExclusion, SignalExclusion,
                         normal_model, solve, solve_benchmark)
 
-types = (TypeMix(0.5, Normal(0.5, 2.0)),   # stronger type
-         TypeMix(0.5, Normal(0.0, 2.0)))   # weaker type
+strong, weak = Normal(0.5, 2.0), Normal(0.0, 2.0)   # the types' qualities
 params = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
-                      budget=0.1, discount=0.97, types=types)
+                      budget=0.1, discount=0.97,
+                      types=((0.5, strong), (0.5, weak)))
 
 out = solve(params, RejectionExclusion(1))
 print("two types under one-period rejection bans")
@@ -30,7 +31,7 @@ print(f"\nwithout bans both types share the cutoff {pooled.cutoff:+.4f}:"
       "\nthe ban is what makes ability show up in entry behavior.")
 
 gap_with = out.cutoffs[0] - out.cutoffs[1]
-gap_means = types[0].quality.mean - types[1].quality.mean
+gap_means = strong.mean - weak.mean
 print(f"cutoff gap {gap_with:.4f} vs ability gap {gap_means:.4f}: the "
       "stronger type enters\nmore selectively, by part of its ability edge.")
 

@@ -5,9 +5,8 @@ from .distributions import (Mixture, NonFiniteIntegrand, Normal, OutOfRange,
 from .core import (ALWAYS_SUBMIT, NEVER_SUBMIT, BracketFailure, ModelParams,
                    NoExclusion, ProfileComponent, RejectionExclusion,
                    SignalExclusion, SubmissionProfile, SuccessEvaluation,
-                   TypeMix, ban_mass, evaluate_success, lifetime_payoff,
-                   normal_model, signal_cutoff, truncated_profile, welfare,
-                   win_mass)
+                   ban_mass, evaluate_success, lifetime_payoff, normal_model,
+                   signal_cutoff, truncated_profile, welfare, win_mass)
 from .equilibria import (EquilibriumOutcome, NoConvergence, NoRoot,
                          best_response, equilibrium_curves, solve,
                          solve_benchmark, solve_exclusion, solve_multi_period,

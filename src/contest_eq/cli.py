@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import (_SOLVER_ERRORS, _SWEEP_AXES, compare_winners,
                        first_best, sweep, winner_density)
 from .core import (ModelParams, NoExclusion, RejectionExclusion,
-                   SignalExclusion, TypeMix, normal_model)
+                   SignalExclusion, normal_model)
 from .distributions import Normal, RejectedValue
 from .equilibria import (_outcome, equilibrium_curves, solve,
                          solve_benchmark, solve_exclusion, solve_multi_period)
@@ -125,19 +125,37 @@ def parse_config(text, overrides=()):
         {key: _literal(name, key, raw) for key, raw in parser[name].items()}
         if parser.has_section(name) else {} for name in _SECTIONS)
 
+    # the quality is stated once: a Normal, or the two types' Mixture
+    typed = "lambda_h" in model
+    stray = model.keys() & ({"mu_q", "var_q"} if typed else
+                            {"mu_q_h", "var_q_h", "mu_q_l", "var_q_l"})
+    if stray:
+        raise ValidationError("[model] takes mu_q and var_q, or lambda_H and"
+                              f" the *_H and *_L keys: got {sorted(stray)}")
+    names = ("cutoff_h", "cutoff_l") if typed else ("cutoff",)
+    given = tuple(key for key in ("cutoff", "cutoff_h", "cutoff_l")
+                  if key in sim)
+    if not set(given) <= set(names):
+        raise ValidationError("[sim] takes cutoff_H and cutoff_L with a type "
+                              "block, cutoff without one")
+    if given not in ((), names):
+        raise ValidationError("cutoff_H and cutoff_L must come together")
+    sim_args = {key: sim[key] for key in _SIM_ARGS if key in sim}
+    if given:
+        sim_args["cutoffs"] = tuple(sim[key] for key in given)
+
     types = None
     try:
-        if "lambda_h" in model:
+        if typed:
             lam_h = model["lambda_h"]
-            types = (TypeMix(lam_h, Normal(model.get("mu_q_h", 0.5),
-                                           model.get("var_q_h", 1.0))),
-                     TypeMix(1.0 - lam_h, Normal(model.get("mu_q_l", 0.0),
-                                                 model.get("var_q_l", 1.0))))
+            types = ((lam_h, Normal(model.get("mu_q_h", 0.5),
+                                    model.get("var_q_h", 1.0))),
+                     (1.0 - lam_h, Normal(model.get("mu_q_l", 0.0),
+                                          model.get("var_q_l", 1.0))))
         params = normal_model(types=types, **{
             arg: model[key] for key, arg in _MODEL_ARGS.items()
             if key in model})
-        sim_cfg = SimConfig(seed=sim.get("seed"), **{
-            key: sim[key] for key in _SIM_ARGS if key in sim})
+        sim_cfg = SimConfig(seed=sim.get("seed"), **sim_args)
     except RejectedValue as exc:  # e.g. a non-finite value, k >= 1, seed < 0
         raise ValidationError(str(exc)) from exc
 
@@ -153,15 +171,6 @@ def parse_config(text, overrides=()):
     if regime not in policies:
         raise ValidationError(f"unknown regime {regime!r}")
 
-    names = ("cutoff_h", "cutoff_l") if types else ("cutoff",)
-    given = tuple(key for key in ("cutoff", "cutoff_h", "cutoff_l")
-                  if key in sim)
-    if not set(given) <= set(names):
-        raise ValidationError("[sim] takes cutoff_H and cutoff_L with a type "
-                              "block, cutoff without one")
-    if given not in ((), names):
-        raise ValidationError("cutoff_H and cutoff_L must come together")
-
     axis = sweep_sec.get("axis")
     if axis is not None and axis not in _SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}")
@@ -169,7 +178,7 @@ def parse_config(text, overrides=()):
     if grid_size < 100:
         raise ValidationError("grid_size must be at least 100")
     return RunConfig(params=params, policy=policies[regime], sim=sim_cfg,
-                     cutoffs=tuple(sim[key] for key in given) or None,
+                     cutoffs=sim_args.get("cutoffs"),
                      sweep_axis=axis, sweep_values=sweep_sec.get("values", ()),
                      output_path=out.get("path", "out.csv"),
                      grid_size=grid_size)

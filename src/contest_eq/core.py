@@ -33,23 +33,9 @@ class BracketFailure(RuntimeError):
     clears it: malformed profile."""
 
 
-def _require_normal(name, dist):
-    if not isinstance(dist, Normal):
-        raise TypeError(f"{name} must be Normal, got {type(dist).__name__}")
-
-
-@dataclass(frozen=True)
-class TypeMix:
-    """One researcher type: its population share and normal quality
-    distribution."""
-
-    share: float
-    quality: Normal
-
-    def __post_init__(self):
-        if not 0.0 < self.share <= 1.0:
-            raise RejectedValue("type share must lie in (0, 1]")
-        _require_normal("type quality", self.quality)
+def _require_law(name, dist, kinds=(Normal, Mixture)):
+    if not isinstance(dist, kinds):
+        raise TypeError(f"{name} cannot be a {type(dist).__name__}")
 
 
 @dataclass(frozen=True)
@@ -60,20 +46,17 @@ class ModelParams:
     reject_cost  loss suffered on rejection (C > 0)
     budget       volume of proposals the agency can fund per period, in (0,1)
     discount     per-period discount factor, in (0,1)
-    quality      per-period idea quality distribution: Normal, or the
-                 population mixture built from `types` when they are given
-                 (a passed quality is then ignored)
+    quality      per-period idea quality distribution: Normal, or a Mixture
+                 whose (share, Normal) parts are the types (a type block)
     noise        Normal review noise; the signal is s = q + e with e ~ noise
-    types        optional tuple of TypeMix for a heterogeneous population
     """
 
     win_value: float
     reject_cost: float
     budget: float
     discount: float
-    quality: Normal | Mixture | None
+    quality: Normal | Mixture
     noise: Normal
-    types: tuple[TypeMix, ...] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.win_value < math.inf
@@ -84,20 +67,8 @@ class ModelParams:
             raise RejectedValue("budget k must lie in (0, 1)")
         if not 0.0 < self.discount < 1.0:
             raise RejectedValue("discount delta must lie in (0, 1)")
-        _require_normal("noise", self.noise)
-        if self.types is not None:
-            types = tuple(self.types)
-            total = sum(t.share for t in types)
-            if abs(total - 1.0) > 1e-12:
-                raise RejectedValue(f"type shares must sum to 1, got {total}")
-            object.__setattr__(self, "types", types)
-            # the population quality density is always the type mixture
-            object.__setattr__(
-                self, "quality", Mixture([(t.share, t.quality) for t in types]))
-        elif self.quality is None:
-            raise RejectedValue("quality distribution required without types")
-        else:
-            _require_normal("quality", self.quality)
+        _require_law("noise", self.noise, (Normal,))
+        _require_law("quality", self.quality)
 
     @property
     def first_best_cutoff(self):
@@ -113,11 +84,13 @@ class ModelParams:
 def normal_model(mean_quality=0.0, var_quality=1.0, var_signal=2.0,
                  reject_cost=1.0, win_value=30.0, budget=0.1, discount=0.97,
                  types=None):
-    """Normal-normal model; defaults follow the benchmark illustration."""
-    quality = None if types is not None else Normal(mean_quality, var_quality)
+    """Normal-normal model; defaults follow the benchmark illustration.
+    `types`, (share, Normal) pairs, makes the quality their Mixture."""
+    quality = Normal(mean_quality, var_quality) if types is None \
+        else Mixture(types)
     return ModelParams(win_value=win_value, reject_cost=reject_cost,
                        budget=budget, discount=discount, quality=quality,
-                       noise=Normal(0.0, var_signal), types=types)
+                       noise=Normal(0.0, var_signal))
 
 
 @dataclass(frozen=True)
@@ -129,8 +102,7 @@ class ProfileComponent:
 
     def __post_init__(self):
         # every mass of a profile is a normal orthant
-        for _, d in getattr(self.base, "parts", [(1.0, self.base)]):
-            _require_normal("profile base", d)
+        _require_law("profile base", self.base)
         if not 0.0 < self.eligibility <= 1.0:
             raise ValueError("eligibility must lie in (0, 1]")
         if not 0.0 < self.weight <= 1.0:

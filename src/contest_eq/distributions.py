@@ -14,6 +14,7 @@ deviations of the governing distribution; for normal tails the mass beyond
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -146,22 +147,24 @@ def _check_prob(p):
         raise OutOfRange(f"probability must lie in (0, 1), got {p}")
 
 
+@dataclass(frozen=True)
 class Normal:
     """Normal distribution parameterized by mean and variance."""
 
-    def __init__(self, mean, variance):
-        if not 0.0 < variance < math.inf:
-            raise RejectedValue("variance must be positive and finite")
-        if not math.isfinite(mean):
-            raise RejectedValue("mean must be finite")
-        self.mean = float(mean)
-        self.variance = float(variance)
-        self.stddev = math.sqrt(self.variance)
-        half = TRUNCATION_SIGMAS * self.stddev
-        self.support_hint = (self.mean - half, self.mean + half)
+    mean: float
+    variance: float
 
-    def __repr__(self):
-        return f"Normal(mean={self.mean}, variance={self.variance})"
+    def __post_init__(self):
+        if not 0.0 < self.variance < math.inf:
+            raise RejectedValue("variance must be positive and finite")
+        if not math.isfinite(self.mean):
+            raise RejectedValue("mean must be finite")
+        object.__setattr__(self, "mean", float(self.mean))
+        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "stddev", math.sqrt(self.variance))
+        half = TRUNCATION_SIGMAS * self.stddev
+        object.__setattr__(self, "support_hint",
+                           (self.mean - half, self.mean + half))
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
@@ -181,22 +184,30 @@ class Normal:
         return rng.normal(self.mean, self.stddev, size)
 
 
+@dataclass(frozen=True)
 class Mixture:
-    """Finite mixture of normals (population of types)."""
+    """Finite mixture of (weight, Normal) parts: a population of types."""
 
-    def __init__(self, parts):
-        parts = tuple((float(w), d) for w, d in parts)
+    parts: tuple[tuple[float, Normal], ...]
+
+    def __post_init__(self):
+        parts = tuple((float(w), d) for w, d in self.parts)
+        if not all(isinstance(d, Normal) for _, d in parts):
+            raise TypeError("every mixture part must be Normal")
         total = sum(w for w, _ in parts)
         if abs(total - 1.0) > 1e-12:
             raise RejectedValue(f"mixture weights must sum to 1, got {total}")
         if any(w <= 0 for w, _ in parts):
             raise RejectedValue("mixture weights must be positive")
-        self.parts = parts
-        self.mean = sum(w * d.mean for w, d in parts)
+        mean = sum(w * d.mean for w, d in parts)
         m2 = sum(w * (d.stddev ** 2 + d.mean ** 2) for w, d in parts)
-        self.stddev = math.sqrt(max(m2 - self.mean ** 2, 1e-300))
-        self.support_hint = (min(d.support_hint[0] for _, d in parts),
-                             max(d.support_hint[1] for _, d in parts))
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "stddev",
+                           math.sqrt(max(m2 - mean ** 2, 1e-300)))
+        object.__setattr__(self, "support_hint", (
+            min(d.support_hint[0] for _, d in parts),
+            max(d.support_hint[1] for _, d in parts)))
 
     def pdf(self, x):
         out = sum(w * np.asarray(d.pdf(x), dtype=float) for w, d in self.parts)

@@ -32,7 +32,7 @@ from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    _payoff, _signal_density, _upper_mass, _upper_mass_bounds,
                    ban_mass, lifetime_payoff, signal_cutoff,
                    truncated_profile, welfare, win_mass)
-from .distributions import TREE_LEVELS, _bisect_root
+from .distributions import TREE_LEVELS, Mixture, _bisect_root
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -286,9 +286,11 @@ def _secant_polish(residual, lo, hi, flo, fhi, tol):
 
 def _cutoff_interval(params, floor_p=_GRID_FLOOR_P):
     """(lo, hi, floor) array of the pooled scan: from the quality's floor_p
-    quantile to below the first-best cutoff, and 60 sd below the mean."""
+    quantile (the (1 - k) / 2 one if lower) to below the first-best cutoff,
+    and 60 sd below the mean."""
     qstar = params.first_best_cutoff
-    return np.array([params.quality.quantile(floor_p),
+    p = min(floor_p, 0.5 * (1.0 - params.budget))
+    return np.array([params.quality.quantile(p),
                      qstar - 1e-9 * (1.0 + abs(qstar)),
                      params.quality.mean - 60.0 * params.quality.stddev])
 
@@ -334,7 +336,7 @@ def solve(params, policy):
     """Steady state of `params` under `policy`: the typed one
     (`solve_typed`) when the model has a type block, else the pooled one
     (`_solve_common`).  The one place that picks the solver."""
-    if params.types:
+    if isinstance(params.quality, Mixture):
         return solve_typed(params, policy)
     return _solve_common(params, policy)
 
@@ -465,17 +467,17 @@ def _type_state(params, policy, cutoffs, sbar):
     are funded (sbar = -inf): the funded mass less the budget."""
     ev = SuccessEvaluation(sbar=sbar, noise=params.noise)
     rows, funded = [], -params.budget
-    for t, q in zip(params.types, cutoffs):
-        F = t.quality.cdf(q)
-        win = _upper_mass(t.quality, q, params.noise, sbar)
-        ban = policy.ban(F, lambda b: ban_mass(q, b, t.quality, params.noise))
+    for (share, law), q in zip(params.quality.parts, cutoffs):
+        F = law.cdf(q)
+        win = _upper_mass(law, q, params.noise, sbar)
+        ban = policy.ban(F, lambda b: ban_mass(q, b, law, params.noise))
         reject = 1.0 - F - win
         load = policy.load(reject, ban)
-        a = t.share / (1.0 + load)
+        a = share / (1.0 + load)
         x = _payoff(win, reject, policy.payoff_ban(reject, ban, params),
                     params)
         rows.append((ev.win_prob(q) - policy.indifference(q, x, params),
-                     t.share - a * load - a, a, x))
+                     share - a * load - a, a, x))
         funded = funded + a * win
     gaps, flows, shares, payoffs = map(np.array, zip(*rows))
     if np.all(np.asarray(sbar) > -math.inf):
@@ -503,9 +505,10 @@ def solve_typed(params, policy):
     type's cutoff weakly higher) or NoConvergence.  If the budget covers
     all eligible at full entry, they apply and win (corner=True).
     """
-    if not params.types:
+    if not isinstance(params.quality, Mixture):
         raise ValueError("the typed solver needs a type block")
-    cutoffs, sbar = (ALWAYS_SUBMIT,) * len(params.types), -math.inf
+    types = params.quality.parts
+    cutoffs, sbar = (ALWAYS_SUBMIT,) * len(types), -math.inf
     all_roots = (cutoffs,)
     gaps, flows, shares, payoffs = _type_state(params, policy, cutoffs, sbar)
     corner = sum(shares) <= params.budget
@@ -517,9 +520,9 @@ def solve_typed(params, policy):
 
         def cutoffs_at(s):
             j = np.searchsorted(solved[0], s)
-            q = np.array([_best_responses(params, policy, t.quality, s,
+            q = np.array([_best_responses(params, policy, law, s,
                                           (known[j - 1], known[j]))
-                          for t, known in zip(params.types, solved[1])])
+                          for (_, law), known in zip(types, solved[1])])
             s, q_all = np.append(solved[0], s), np.hstack([solved[1], q])
             order = np.argsort(s)
             solved[:] = s[order], q_all[:, order]
@@ -542,8 +545,8 @@ def solve_typed(params, policy):
             v[:, 0] for v in _type_state(params, policy, q, roots))
     shares = tuple(map(float, shares))
     profile = SubmissionProfile(tuple(
-        ProfileComponent(t.quality, q, min(a / t.share, 1.0), t.share)
-        for t, q, a in zip(params.types, cutoffs, shares)))
+        ProfileComponent(law, q, min(a / share, 1.0), share)
+        for (share, law), q, a in zip(types, cutoffs, shares)))
     # at the corner everyone strictly prefers to apply: no gap closes
     residual = 0.0 if corner else float(np.max(np.abs(gaps)))
     elig_resid = float(np.max(np.abs(flows)))
@@ -552,9 +555,9 @@ def solve_typed(params, policy):
             f"typed root missed its contract (indifference {residual:.3e},"
             f" flow balance {elig_resid:.3e})",
             best_residual=max(residual, elig_resid))
-    for (qa, ta), (qb, tb) in itertools.permutations(
-            zip(cutoffs, params.types), 2):
-        if qa < qb - 1e-9 and _dominates(ta.quality, tb.quality):
+    for (qa, (_, da)), (qb, (_, db)) in itertools.permutations(
+            zip(cutoffs, types), 2):
+        if qa < qb - 1e-9 and _dominates(da, db):
             raise NoConvergence("a dominant type uses the lower cutoff",
                                 best_residual=residual)
 

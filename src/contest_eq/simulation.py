@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import RejectionExclusion
-from .distributions import RejectedValue
+from .distributions import Mixture, RejectedValue
 
 # bins of the post-burn-in winner-quality histogram over the quality support
 HIST_BINS = 200
@@ -27,10 +27,10 @@ HIST_BINS = 200
 class SimConfig:
     """Configuration of one simulation run.
 
-    cutoffs holds one entry per type (a single entry without types) and may
-    be +-inf.  initial_eligibility seeds the starting eligible share(s) at an
-    analytic steady state; by default everyone starts eligible and the
-    burn-in absorbs the transient.  A run needs a seed in [0, 2**128).
+    cutoffs holds one number or +-inf per type (one without types), and
+    initial_eligibility the starting eligible share of each type, in (0, its
+    share], at an analytic steady state; by default everyone starts eligible
+    and the burn-in absorbs the transient.  A run needs a seed in [0, 2**128).
     """
 
     seed: int | None
@@ -48,6 +48,8 @@ class SimConfig:
             raise RejectedValue("need at least 1000 agents")
         if not 0 <= self.burn_in < self.n_periods:
             raise RejectedValue("burn_in must be smaller than n_periods")
+        if any(map(math.isnan, self.cutoffs)):
+            raise RejectedValue("cutoffs must be numbers or +-inf")
 
 
 @dataclass(frozen=True)
@@ -82,15 +84,14 @@ def _counter_dtype(low, high):
 
 
 def _type_layout(params, n_agents):
-    """Deterministic assignment of agents to types: contiguous blocks,
-    returned as slices."""
-    if params.types is None:
-        return [slice(0, n_agents)], (1.0,)
-    counts = [int(round(t.share * n_agents)) for t in params.types]
+    """Contiguous blocks of agents as slices, one per type (a Normal quality
+    is one type), and each type's (share, Normal)."""
+    types = params.quality.parts if isinstance(params.quality, Mixture) \
+        else ((1.0, params.quality),)
+    counts = [int(round(share * n_agents)) for share, _ in types]
     counts[-1] = n_agents - sum(counts[:-1])
     ends = np.cumsum(counts).tolist()
-    return ([slice(end - c, end) for c, end in zip(counts, ends)],
-            tuple(t.share for t in params.types))
+    return [slice(end - c, end) for c, end in zip(counts, ends)], types
 
 
 def run_simulation(config, params):
@@ -116,10 +117,15 @@ def run_simulation(config, params):
         raise RejectedValue(f"a budget of {params.budget:g} funds no one of "
                             f"{n} agents")
     t_ban = config.policy.ban_periods
-    blocks, type_shares = _type_layout(params, n)
+    blocks, types = _type_layout(params, n)
     n_types = len(blocks)
     if len(config.cutoffs) != n_types:
         raise RejectedValue("one cutoff per type required")
+    init = config.initial_eligibility
+    if init is not None and not (len(init) == n_types and all(
+            0.0 < a <= share for a, (share, _) in zip(init, types))):
+        raise RejectedValue("one initial eligible share per type required, "
+                            "each in (0, the type's share]")
 
     cut = np.empty(n)
     for c, block in zip(config.cutoffs, blocks):
@@ -127,11 +133,10 @@ def run_simulation(config, params):
 
     # periods left to serve, counted down every period: eligible at <= 0
     ban_left = np.zeros(n, dtype=_counter_dtype(-config.n_periods, t_ban))
-    if config.initial_eligibility is not None and t_ban > 0:
-        for i, block in enumerate(blocks):
+    if init is not None and t_ban > 0:
+        for a, (share, _), block in zip(init, types, blocks):
             size = block.stop - block.start
-            frac = config.initial_eligibility[i] / type_shares[i]
-            n_banned = int(round((1.0 - min(frac, 1.0)) * size))
+            n_banned = int(round((1.0 - a / share) * size))
             if n_banned > 0:
                 sel = block.start + np.round(
                     np.linspace(0, size - 1, n_banned)).astype(int)
@@ -150,9 +155,6 @@ def run_simulation(config, params):
     sigma_noise = params.noise.stddev
     noise_mean = params.noise.mean
 
-    type_dists = [params.types[i].quality if params.types else params.quality
-                  for i in range(n_types)]
-
     z = np.empty(n)
     quality = np.empty(n)
     eligible = np.empty(n, dtype=bool)
@@ -162,7 +164,7 @@ def run_simulation(config, params):
         # per-agent-per-period substreams: draw for everyone, select later;
         # the draw order (quality z, then noise) is fixed
         rng.standard_normal(out=z)
-        for dist, block in zip(type_dists, blocks):
+        for (_, dist), block in zip(types, blocks):
             np.multiply(z[block], dist.stddev, out=quality[block])
             quality[block] += dist.mean
         rng.standard_normal(out=z)  # the noise draws

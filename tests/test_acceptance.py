@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from contest_eq import (Normal, NoExclusion, RejectionExclusion,
-                        SignalExclusion, SimConfig, TypeMix,
+                        SignalExclusion, SimConfig,
                         compare_winners, empirical_best_response,
                         evaluate_success, first_best, lifetime_payoff,
                         normal_model, run_simulation, solve, solve_benchmark,
@@ -262,12 +262,12 @@ def test_criterion_8_simulator_cross_validation(model_v50, v50_solved):
 
 
 def test_criterion_9_two_type_suite(model_v50):
-    types = (TypeMix(0.5, Normal(0.5, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
+    types = ((0.5, Normal(0.5, 2.0)), (0.5, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
     out = solve(p, RejectionExclusion(1))
 
-    same = (TypeMix(0.5, Normal(0.0, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
+    same = ((0.5, Normal(0.0, 2.0)), (0.5, Normal(0.0, 2.0)))
     p_same = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                           budget=0.1, discount=0.97, types=same)
     degenerate = solve(p_same, RejectionExclusion(1))

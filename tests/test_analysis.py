@@ -5,7 +5,7 @@ import pytest
 
 from contest_eq import (Mixture, NoExclusion, Normal, RejectedValue,
                         RejectionExclusion, SignalExclusion, SimConfig,
-                        TypeMix, compare_winners, equilibria, first_best,
+                        compare_winners, equilibria, first_best,
                         normal_model, solve_benchmark, solve_signal_cutoff,
                         steady_state_profile, sweep, truncated_profile,
                         winner_density)
@@ -180,7 +180,7 @@ def test_sweep_records_failures_inline(model_v50):
 @pytest.mark.parametrize("make", [
     lambda: normal_model(budget=1.5),
     lambda: normal_model(win_value=math.nan),
-    lambda: TypeMix(1.5, Normal(0.0, 1.0)),
+    lambda: Mixture([(1.5, Normal(0.0, 1.0)), (-0.5, Normal(1.0, 1.0))]),
     lambda: Normal(0.0, -1.0),
     lambda: Mixture([(0.5, Normal(0.0, 1.0))]),
     lambda: RejectionExclusion(2.5),

@@ -341,15 +341,22 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, overrides):
     ("solve", None, ["sweep.axis=mu"], "ValidationError"),
     ("solve", None, ["output.grid_size=99"], "ValidationError"),
     ("sweep", None, [], "ValidationError"),
+    # the quality is stated once: one normal, or the types
+    ("solve", None, ["model.mu_q_H=3"], "ValidationError"),
+    ("solve", (CONFIGS / "two_type.ini").read_text(),
+     ["model.mu_q=3", "model.var_q=9", "output.path={path}"],
+     "ValidationError"),
+    ("simulate", None, ["sim.seed=1", "sim.cutoff=nan"], "ValidationError"),
 ], ids=["syntax", "no-equals", "no-section", "sweep-axis", "grid-size",
-        "sweep-without-axis"])
+        "sweep-without-axis", "type-key-without-lambda",
+        "pooled-keys-with-lambda", "nan-cutoff"])
 def test_config_errors_exit_2_with_a_typed_record(tmp_path, capsys, command,
                                                   text, overrides, error):
     doc_path = tmp_path / "cfg.ini"
     doc_path.write_text(text or V30_DOC.format(path=tmp_path / "o.csv"))
     argv = [command, "--config", str(doc_path)]
     for item in overrides:
-        argv += ["--set", item]
+        argv += ["--set", item.format(path=tmp_path / "o.csv")]
     assert main(argv) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == error

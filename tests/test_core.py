@@ -11,7 +11,7 @@ from contest_eq import (ALWAYS_SUBMIT, NEVER_SUBMIT, Mixture, Normal,
                         ban_mass, evaluate_success, lifetime_payoff,
                         normal_model, signal_cutoff,
                         steady_state_profile, truncated_profile, welfare,
-                        win_mass, TypeMix)
+                        win_mass)
 from contest_eq.core import _upper_mass
 
 import oracles
@@ -30,21 +30,33 @@ class _NotNormal:
 
 def test_model_rejects_non_normal_laws():
     plain = normal_model()
-    for law in ({"noise": _NotNormal()}, {"quality": _NotNormal()}):
+    for law in ({"noise": _NotNormal()}, {"quality": _NotNormal()},
+                {"quality": None}):
         with pytest.raises(TypeError):
             dataclasses.replace(plain, **law)
     with pytest.raises(TypeError):
-        TypeMix(0.5, _NotNormal())
-    typed = normal_model(types=(TypeMix(0.5, Normal(0.5, 1.0)),
-                                TypeMix(0.5, Normal(0.0, 1.0))))
-    with pytest.raises(TypeError):
-        dataclasses.replace(typed, noise=_NotNormal())
-    # replace hands the built Mixture back in as `quality`, which a typed
-    # model ignores and rebuilds from its types
+        Mixture([(0.5, Normal(0.5, 1.0)), (0.5, _NotNormal())])
+    typed = normal_model(types=((0.5, Normal(0.5, 1.0)),
+                                (0.5, Normal(0.0, 1.0))))
+    for law in ({"noise": _NotNormal()}, {"noise": typed.quality}):
+        with pytest.raises(TypeError):
+            dataclasses.replace(typed, **law)
     again = dataclasses.replace(typed, win_value=50.0)
     assert again.win_value == 50.0
-    assert isinstance(again.quality, Mixture)
-    assert again.quality.mean == typed.quality.mean
+    assert again.quality == typed.quality
+
+
+def test_laws_and_models_are_values():
+    # equal parameters give equal, hashable laws and models, each shown
+    # by its parameters
+    assert normal_model() == normal_model()
+    assert Normal(0.5, 2.0) == Normal(0.5, 2) != Normal(0.5, 2.5)
+    pairs = ((0.4, Normal(0.5, 2.0)), (0.6, Normal(0.0, 2.0)))
+    a, b = normal_model(types=pairs), normal_model(types=list(pairs))
+    assert a == b and hash(a) == hash(b)
+    assert a.quality == Mixture(pairs) != normal_model().quality
+    assert "object at" not in repr(a)
+    assert repr(Normal(0.5, 2.0)) == "Normal(mean=0.5, variance=2.0)"
 
 
 def test_profile_rejects_non_normal_bases():
@@ -321,12 +333,12 @@ def test_typed_payoff_single_type_reduces(model_v50):
 
 
 def test_typed_payoff_matches_value_iteration():
-    types = (TypeMix(0.5, Normal(0.5, 1.0)), TypeMix(0.5, Normal(0.0, 1.0)))
+    types = ((0.5, Normal(0.5, 1.0)), (0.5, Normal(0.0, 1.0)))
     p = normal_model(var_signal=2.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
     profile = truncated_profile(p.quality, 0.8, 0.9)
     ev = evaluate_success(profile, p)
-    x = lifetime_payoff(0.8, ev, p, base=types[0].quality)
+    x = lifetime_payoff(0.8, ev, p, base=types[0][1])
     ref = oracles.value_iter_payoff(0.8, ev.sbar, 0.5, 1.0, math.sqrt(2.0),
                                     p.win_value, p.reject_cost, p.discount,
                                     ban_periods=1)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from contest_eq import (ALWAYS_SUBMIT, NoConvergence, NoRoot, Normal,
-                        NoExclusion, ProfileComponent, RejectionExclusion,
-                        SignalExclusion, SubmissionProfile, TypeMix, ban_mass,
+from contest_eq import (ALWAYS_SUBMIT, Mixture, ModelParams, NoConvergence,
+                        NoRoot, Normal, NoExclusion, ProfileComponent,
+                        RejectionExclusion, SignalExclusion,
+                        SubmissionProfile, ban_mass,
                         best_response, equilibrium_curves,
                         evaluate_success, normal_model, solve,
                         solve_benchmark, solve_exclusion, solve_multi_period,
@@ -423,22 +424,32 @@ def test_model_b_solve_screens_most_scan_rows_from_the_orthant(
     assert len(sign_calls) <= 4
 
 
-def test_empty_scan_interval_raises_before_any_residual_call(monkeypatch):
-    # a budget of 1 - 1e-6 puts the first-best cutoff at the grid floor:
-    # the scan interval is empty, and no leftward extension may run away
-    def refused(params, policy, grid):
+def test_empty_scan_interval_raises_before_any_residual_call():
+    # an interval with no point below its top raises NoRoot, and no
+    # leftward extension may run away
+    def refused(grid):
         raise AssertionError("residual evaluated on an empty scan interval")
 
-    for name in ("_sign_residuals", "_root_pass", "_batch_residuals"):
-        monkeypatch.setattr(equilibria, name, refused)
-    params = normal_model(1e-7, 1.0, 1.0, reject_cost=1.0, win_value=6.96,
-                          budget=0.999999, discount=0.17)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for policy in (NoExclusion(), RejectionExclusion(1),
-                       SignalExclusion(-INF)):
-            with pytest.raises(NoRoot):
-                solve(params, policy)
+    for lo, hi in ((1.0, 1.0), (1.0, 0.5), (math.nan, 0.0)):
+        with pytest.raises(NoRoot, match="empty"):
+            equilibria._scan_roots(refused, lo, hi, -60.0,
+                                   equilibria.GRID_POINTS, 1e-10)
+
+
+@pytest.mark.parametrize("policy", [NoExclusion(), RejectionExclusion(1),
+                                    RejectionExclusion(5)])
+def test_budgets_within_2e6_of_one_solve(policy):
+    # the 1e-6 quality quantile meets the first-best cutoff at k = 1 - 1e-6:
+    # the scan opens at the (1 - k) / 2 quantile instead
+    for params in (normal_model(budget=0.9999989999999999),
+                   normal_model(1e-7, 1.0, 1.0, reject_cost=1.0,
+                                win_value=6.96, budget=0.999999,
+                                discount=0.17)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve(params, policy)
+        assert out.residual < 1e-8 and not out.corner
+        assert out.cutoff < params.first_best_cutoff
 
 
 def _scan_with_zero_at_grid_point(params, shape):
@@ -513,7 +524,7 @@ def test_signal_ban_corner_when_budget_covers_everyone():
 
 @pytest.fixture(scope="module")
 def two_type_params():
-    types = (TypeMix(0.5, Normal(0.5, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
+    types = ((0.5, Normal(0.5, 2.0)), (0.5, Normal(0.0, 2.0)))
     return normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                         budget=0.1, discount=0.97, types=types)
 
@@ -521,6 +532,21 @@ def two_type_params():
 @pytest.fixture(scope="module")
 def two_type_outcome(two_type_params):
     return solve(two_type_params, RejectionExclusion(1))
+
+
+def test_a_mixture_quality_is_the_type_block(two_type_params,
+                                             two_type_outcome):
+    # a model built with a Mixture quality solves the typed steady state,
+    # and equal models give equal outcomes
+    same = ModelParams(win_value=50.0, reject_cost=1.0, budget=0.1,
+                       discount=0.97, noise=Normal(0.0, 5.0),
+                       quality=Mixture(two_type_params.quality.parts))
+    assert same == two_type_params
+    assert solve(same, RejectionExclusion(1)) == two_type_outcome
+    pooled = normal_model(0.0, 2.0, 5.0, win_value=50.0)
+    assert solve(pooled, RejectionExclusion(1)) == \
+        solve(normal_model(0.0, 2.0, 5.0, win_value=50.0),
+              RejectionExclusion(1))
 
 
 def test_two_type_matches_reference(two_type_outcome):
@@ -542,18 +568,20 @@ def test_two_type_shares_solve_flow_balance(two_type_params, two_type_outcome):
     # refills the eligible share, rejections among the eligible drain it
     p, out = two_type_params, two_type_outcome
     profile = SubmissionProfile(tuple(
-        ProfileComponent(t.quality, q, a / t.share, t.share)
-        for t, q, a in zip(p.types, out.cutoffs, out.eligibility)))
+        ProfileComponent(law, q, a / share, share)
+        for (share, law), q, a in zip(p.quality.parts, out.cutoffs,
+                                      out.eligibility)))
     ev = evaluate_success(profile, p)
-    for t, q, a in zip(p.types, out.cutoffs, out.eligibility):
-        wins = win_mass(q, ev, t.quality)
-        inflow = t.share - a * (1.0 - t.quality.cdf(q)) + a * wins
+    for (share, law), q, a in zip(p.quality.parts, out.cutoffs,
+                                  out.eligibility):
+        wins = win_mass(q, ev, law)
+        inflow = share - a * (1.0 - law.cdf(q)) + a * wins
         assert abs(inflow - a) < 1e-9
 
 
 @pytest.mark.parametrize("policy", EVERY_POLICY.values(), ids=EVERY_POLICY)
 def test_two_type_identical_types_collapse_to_pooled(policy):
-    types = (TypeMix(0.5, Normal(0.0, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
+    types = ((0.5, Normal(0.0, 2.0)), (0.5, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
     out = solve_typed(p, policy)
@@ -598,8 +626,8 @@ def test_ban_lengths_are_positive_integers(model_v20):
 def test_typed_solver_needs_a_type_block_of_any_size(model_v50):
     # three types solve under each policy, strongest first; a model without
     # a type block has nothing to solve
-    types = (TypeMix(0.3, Normal(1.0, 2.0)), TypeMix(0.3, Normal(0.5, 2.0)),
-             TypeMix(0.4, Normal(0.0, 2.0)))
+    types = ((0.3, Normal(1.0, 2.0)), (0.3, Normal(0.5, 2.0)),
+             (0.4, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
     for policy in (RejectionExclusion(1), RejectionExclusion(5),
@@ -608,16 +636,17 @@ def test_typed_solver_needs_a_type_block_of_any_size(model_v50):
         assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
         assert out.cutoffs[0] > out.cutoffs[1] > out.cutoffs[2]
         ev = evaluate_success(out.profile, p)
-        funded = sum(a * win_mass(q, ev, t.quality)
-                     for t, q, a in zip(types, out.cutoffs, out.eligibility))
+        funded = sum(a * win_mass(q, ev, law)
+                     for (_, law), q, a in zip(types, out.cutoffs,
+                                               out.eligibility))
         assert abs(funded - p.budget) < 1e-9
     with pytest.raises(ValueError, match="type block"):
         solve_typed(model_v50, RejectionExclusion(1))
 
 
 def _corner_model(mean_hi, budget):
-    types = (TypeMix(0.5, Normal(mean_hi, 1.0)),
-             TypeMix(0.5, Normal(0.0, 1.0)))
+    types = ((0.5, Normal(mean_hi, 1.0)),
+             (0.5, Normal(0.0, 1.0)))
     return normal_model(var_signal=1.0, reject_cost=1.0, win_value=50.0,
                         budget=budget, discount=0.97, types=types)
 
@@ -642,8 +671,8 @@ def test_typed_problem_off_a_pooled_corner_solves():
     # 0.4988 + 0.2503 > k is interior, and the typed scan solves it
     p = _corner_model(8.0, 0.7)
     assert solve_signal_cutoff(p, 4.0).corner
-    full = [t.share / (1.0 + ban_mass(ALWAYS_SUBMIT, 4.0, t.quality, p.noise))
-            for t in p.types]
+    full = [share / (1.0 + ban_mass(ALWAYS_SUBMIT, 4.0, law, p.noise))
+            for share, law in p.quality.parts]
     assert abs(sum(full) - 0.749) < 1e-3
     out = solve_typed(p, SignalExclusion(4.0))
     assert not out.corner and out.sbar > -INF
@@ -653,10 +682,10 @@ def test_typed_problem_off_a_pooled_corner_solves():
 
 def test_two_type_random_draw_meets_contracts():
     # unequal type variances and a small prize far from the pinned model
-    types = (TypeMix(0.42508819789798513,
-                     Normal(0.47510724983544644, 2.2283425881943533)),
-             TypeMix(1.0 - 0.42508819789798513,
-                     Normal(0.0, 0.9464296954359298)))
+    types = ((0.42508819789798513,
+              Normal(0.47510724983544644, 2.2283425881943533)),
+             (1.0 - 0.42508819789798513,
+              Normal(0.0, 0.9464296954359298)))
     p = normal_model(var_signal=2.6794088921934254, reject_cost=1.0,
                      win_value=5.134335821866616, budget=0.11562367818752538,
                      discount=0.8800258747035015, types=types)
@@ -677,8 +706,8 @@ def typed_models(draw):
     mean = draw(st.floats(-1.0, 1.0))
     gap = draw(st.floats(0.0, 2.0)) * math.sqrt(var_q)
     share = draw(st.floats(0.1, 0.9))
-    types = (TypeMix(share, Normal(mean + gap, var_q)),
-             TypeMix(1.0 - share, Normal(mean, var_q)))
+    types = ((share, Normal(mean + gap, var_q)),
+             (1.0 - share, Normal(mean, var_q)))
     return normal_model(var_signal=var_q * 10.0 ** draw(st.floats(-4.0, 2.0)),
                         reject_cost=c,
                         win_value=c * 10.0 ** draw(st.floats(-1.0, 5.0)),
@@ -702,10 +731,10 @@ def test_dominant_type_uses_the_higher_cutoff(params, policy):
     out = solve_typed(params, policy)
     assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
     assert out.cutoffs[0] >= out.cutoffs[1] - 1e-9
-    strong, weak = (t.quality for t in params.types)
+    strong, weak = (law for _, law in params.quality.parts)
     if isinstance(policy, NoExclusion):
         assert out.cutoffs[0] == out.cutoffs[1]
-        assert out.eligibility == tuple(t.share for t in params.types)
+        assert out.eligibility == tuple(s for s, _ in params.quality.parts)
     elif isinstance(policy, RejectionExclusion) \
             and strong.mean - weak.mean >= 0.1 * strong.stddev:
         # a ban whose cost at the threshold is below 1e-13 leaves both types
@@ -714,6 +743,39 @@ def test_dominant_type_uses_the_higher_cutoff(params, policy):
         free = out.sbar - params.noise.quantile(1.0 - params.loss_share)
         assert out.cutoffs[0] > out.cutoffs[1] \
             or out.cutoffs[0] == out.cutoffs[1] == free
+
+
+def _dense_typed_roots(params, policy, points=2000):
+    """Every root of the typed clearing residual on `points` points of
+    `solve_typed`'s threshold interval, each type's cutoff a plain
+    `_best_responses` batch with no neighbour brackets."""
+    def residual(s):
+        q = np.array([equilibria._best_responses(params, policy, law, s)
+                      for _, law in params.quality.parts])
+        return -equilibria._type_state(params, policy, q, s)[1][-1]
+
+    offset = params.noise.quantile(1.0 - params.loss_share)
+    lo, hi, floor = equilibria._cutoff_interval(
+        params, equilibria._GRID_FLOOR_P * (1.0 - params.budget)) + offset
+    return equilibria._scan_roots(residual, lo, hi,
+                                  floor - 60.0 * params.noise.stddev, points,
+                                  equilibria._ROOT_TOL)
+
+
+BAN_POLICIES = st.one_of(
+    st.integers(1, 10_000).map(RejectionExclusion),
+    st.one_of(st.just(-INF), st.just(INF),
+              st.floats(-5.0, 5.0)).map(SignalExclusion))
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(typed_models(), BAN_POLICIES)
+def test_typed_scan_misses_no_root(params, policy):
+    # a scan 60 times denser than the solver's finds the same roots; at a
+    # corner the solver does not scan
+    out = solve_typed(params, policy)
+    assume(not out.corner)
+    assert len(_dense_typed_roots(params, policy)) == len(out.all_roots)
 
 
 @pytest.mark.parametrize("share, strong, weak, var_s, c, v, k, delta, t", [
@@ -732,8 +794,7 @@ def test_typed_steady_states_far_from_the_pooled_one(share, strong, weak,
     # rounded draws on which a Newton solve seeded by the pooled steady
     # state missed its contracts: the threshold scan solves each, and the
     # stronger type uses the higher cutoff
-    types = (TypeMix(share, Normal(*strong)), TypeMix(1.0 - share,
-                                                      Normal(*weak)))
+    types = ((share, Normal(*strong)), (1.0 - share, Normal(*weak)))
     p = normal_model(var_signal=var_s, reject_cost=c, win_value=v,
                      budget=k, discount=delta, types=types)
     out = solve_typed(p, RejectionExclusion(t))

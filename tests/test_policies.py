@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from contest_eq import (ALWAYS_SUBMIT, BracketFailure, Mixture, NoConvergence,
                         NoExclusion, Normal, RejectionExclusion,
-                        SignalExclusion, TypeMix, ban_mass, best_response,
+                        SignalExclusion, ban_mass, best_response,
                         compare_winners, evaluate_success, lifetime_payoff,
                         normal_model, solve, solve_benchmark,
                         solve_exclusion, solve_signal_cutoff,
@@ -273,8 +273,8 @@ def test_clearing_takes_no_more_steps_than_bisection(params, policy, tol):
 # Mixture
 mixture_model = normal_model(
     var_signal=5.0, reject_cost=1.0, win_value=50.0, budget=0.1,
-    discount=0.97, types=(TypeMix(0.5, Normal(0.5, 2.0)),
-                          TypeMix(0.5, Normal(0.0, 2.0))))
+    discount=0.97, types=((0.5, Normal(0.5, 2.0)),
+                          (0.5, Normal(0.0, 2.0))))
 
 
 @settings(max_examples=40, deadline=None)

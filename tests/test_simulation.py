@@ -8,7 +8,7 @@ import pytest
 
 from contest_eq import (NEVER_SUBMIT, NoExclusion, Normal, RejectedValue,
                         RejectionExclusion, SignalExclusion, SimConfig,
-                        SuccessEvaluation, TypeMix, empirical_best_response,
+                        SuccessEvaluation, empirical_best_response,
                         lifetime_payoff, normal_model, run_simulation, solve,
                         solve_multi_period, solve_signal_cutoff,
                         trend_statistic)
@@ -88,7 +88,7 @@ def test_signal_policy_run_is_pinned(model_v50):
 def test_two_type_ban_run_is_pinned():
     # two type blocks, per-type eligibility counts and a five-period ban
     # set on a subset of the agents
-    types = (TypeMix(0.5, Normal(0.5, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
+    types = ((0.5, Normal(0.5, 2.0)), (0.5, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
     cfg = SimConfig(seed=2026, policy=RejectionExclusion(5),
@@ -161,7 +161,7 @@ def test_signal_policy_eligibility(model_v50):
 
 
 def test_two_type_eligibility_tracking():
-    types = (TypeMix(0.5, Normal(0.5, 2.0)), TypeMix(0.5, Normal(0.0, 2.0)))
+    types = ((0.5, Normal(0.5, 2.0)), (0.5, Normal(0.0, 2.0)))
     p = normal_model(var_signal=5.0, reject_cost=1.0, win_value=50.0,
                      budget=0.1, discount=0.97, types=types)
     out = solve(p, RejectionExclusion(1))
@@ -265,6 +265,39 @@ def test_config_validation():
         SimConfig(seed=1, n_agents=10)
     with pytest.raises(ValueError):
         SimConfig(seed=1, n_periods=100, burn_in=100)
+
+
+@pytest.mark.parametrize("eligibility", [(0.5, 0.5), (), (-0.2,),
+                                         (math.nan,), (1.2,)],
+                         ids=["two-for-one-type", "empty", "negative", "nan",
+                              "above-share"])
+def test_initial_eligibility_is_one_share_per_type(model_v50, eligibility):
+    cfg = SimConfig(seed=1, n_agents=1000, n_periods=20, burn_in=5,
+                    initial_eligibility=eligibility)
+    with pytest.raises(RejectedValue, match="initial eligible"):
+        run_simulation(cfg, model_v50)
+
+
+def test_typed_initial_eligibility_stays_within_each_share():
+    p = normal_model(var_signal=5.0, types=((0.5, Normal(0.5, 2.0)),
+                                            (0.5, Normal(0.0, 2.0))))
+    cfg = SimConfig(seed=1, cutoffs=(1.0, 1.0), n_agents=1000, n_periods=20,
+                    burn_in=5, initial_eligibility=(0.6, 0.3))
+    with pytest.raises(RejectedValue, match="initial eligible"):
+        run_simulation(cfg, p)
+    run_simulation(dataclasses.replace(cfg, initial_eligibility=(0.5, 0.3)),
+                   p)
+
+
+def test_a_nan_cutoff_is_rejected_and_infinite_ones_run(model_v50):
+    with pytest.raises(RejectedValue, match="cutoffs"):
+        SimConfig(seed=1, cutoffs=(math.nan,))
+    always, never = (run_simulation(SimConfig(seed=1, cutoffs=(cutoff,),
+                                              n_agents=1000, n_periods=20,
+                                              burn_in=5), model_v50)
+                     for cutoff in (-math.inf, math.inf))
+    assert always.mean_volume == always.mean_eligibility[0] > 0.0
+    assert never.mean_volume == 0.0
 
 
 def test_a_budget_that_funds_no_one_is_rejected(model_v50):
