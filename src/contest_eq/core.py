@@ -171,8 +171,9 @@ class SuccessEvaluation:
 def _normal_orthant(h, k, rho, r):
     """P(X >= h, Y >= k) for standard normals X, Y of correlation rho in
     (0, 1), r = sqrt(1 - rho^2), by Owen's T on the lower orthant at
-    (-h, -k) (Owen 1956).  Vectorized; h and k may be +-inf.  Accurate to
-    about 2e-16 absolute, not relative in the far tails."""
+    (-h, -k) (Owen 1956).  Vectorized, rho and r too (a column per law of
+    a type stack); h and k may be +-inf.  Accurate to about 2e-16
+    absolute, not relative in the far tails."""
     # + 0.0 clears signed zeros: at x = -0.0 the T argument below becomes
     # -inf for y > 0, and T(0, -inf) = -1/4 carries the wrong sign.  The
     # arguments divide before they subtract, which keeps them exact for
@@ -188,17 +189,20 @@ def _normal_orthant(h, k, rho, r):
     origin = (x == 0.0) & (y == 0.0)
     edge = origin | ~np.isfinite(x) | ~np.isfinite(y)
     if np.any(edge):
+        # math.atan2 for each law's (rho, r): numpy's arctan2 can differ
+        # from it in the last bit
+        angle = np.vectorize(math.atan2)(rho, r) if np.any(origin) else 0.0
         lower = np.where(edge, np.where(
-            origin, 0.25 + math.atan2(rho, r) / (2.0 * math.pi),
-            ndtr(x) * ndtr(y)), lower)
+            origin, 0.25 + angle / (2.0 * math.pi), ndtr(x) * ndtr(y)), lower)
     return lower
 
 
 def _standardize(base, noise, cutoff, b):
     """(h, z, rho, r, sd_s): the cutoff standardized by the quality, the
     signal standardized by its own law, the quality-signal correlation, its
-    complement sqrt(1 - rho^2) and the signal sd."""
-    sd_s = math.sqrt(base.variance + noise.variance)
+    complement sqrt(1 - rho^2) and the signal sd.  The quality's moments
+    may be arrays (a type stack's columns)."""
+    sd_s = np.sqrt(base.variance + noise.variance)
     h = (np.asarray(cutoff, dtype=float) - base.mean) / base.stddev
     z = (np.asarray(b, dtype=float) - base.mean - noise.mean) / sd_s
     return h, z, base.stddev / sd_s, noise.stddev / sd_s, sd_s

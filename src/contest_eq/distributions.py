@@ -1,4 +1,4 @@
-"""The two laws, the quadrature kernel and the one bisection.
+"""The two laws, the quadrature kernel and the two bracketed root finders.
 
 Quality and review noise are `Normal`, and a heterogeneous population's
 quality is a `Mixture` of normal types; each law has a mean, a stddev and
@@ -9,6 +9,13 @@ remains the public quadrature: one composite Gauss-Legendre rule whose
 infinite limits are truncated at mean +- TRUNCATION_SIGMAS standard
 deviations of the governing distribution; for normal tails the mass beyond
 10 sigma is ~1e-23, far below every tolerance used downstream.
+
+Both root finders return the midpoint of a final bracket narrower than
+their tolerance whose ends differ in sign.  The bisection (`_bisect_root`)
+walks a tree of midpoints and finishes the scans' root polish, mixture
+quantiles and the winner-density crossing; Chandrupatla's method
+(`_bracket_root`) takes a handful of points per row where the residual is
+smooth and solves the best responses.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ def _bisect_root(residual, lo, hi, flo, tol):
     """Bisect a sign change of `residual` on [lo, hi], whose value at `lo`
     is `flo`, for ceil(log2((hi - lo) / tol)) steps and return the midpoint
     of the last bracket.  The step count is the only stop, so the call
-    count is known in advance.  The package's one bisection.
+    count is known in advance.
 
     `residual` takes an array.  Every TREE_LEVELS steps one call evaluates
     all midpoints the next d = min(TREE_LEVELS, steps left) steps can reach:
@@ -105,6 +112,67 @@ def _bisect_root(residual, lo, hi, flo, tol):
             brackets.append((row[a], row[a + width]))
         lo, hi = zip(*brackets)
     root = 0.5 * (np.array(lo) + np.array(hi))
+    return root.reshape(shape) if shape else float(root[0])
+
+
+def _bracket_root(residual, lo, hi, flo, fhi, tol):
+    """Root of a sign change of `residual` on every row of a batch of
+    brackets [lo, hi], whose values at the ends are `flo` and `fhi`: the
+    midpoint of a final bracket narrower than `tol` whose ends differ in
+    sign, as `_bisect_root` returns it (a sign read as > 0, as it reads one).
+
+    Chandrupatla's method (1997, Adv. Eng. Software 28:145-149), one point
+    per row per residual call: inverse quadratic interpolation through the
+    bracket's ends and the point it last dropped when those three allow it
+    (its interpolant is then monotone on the bracket), bisection otherwise;
+    the first step, with two points in hand, is the secant's.  A point
+    stays tol/4 inside the bracket, so a converged estimate closes it.  A
+    row bisects whenever its last three steps each failed to halve its
+    bracket, so every four steps at least halve it, and no row takes more
+    than about four times bisection's ceil(log2(width / tol)) steps.  A
+    row stops once its bracket is narrower than `tol` or its bisection
+    point is no float strictly inside it; no other stop exists.
+
+    `residual` takes an array of the brackets' shape.  Every call evaluates
+    all rows, a finished row at its own end so that its bracket stays
+    frozen, and each row's arithmetic is its own: each row is its one-row
+    call bit for bit whenever a batch entry equals a one-point call.
+    """
+    shape = np.shape(lo)
+    x1, x2, f1, f2 = (np.array(v, dtype=float).ravel() for v in
+                      np.broadcast_arrays(lo, hi, flo, fhi))
+    x3, f3 = x2, f2
+    slow = np.zeros(x1.shape)
+    with np.errstate(all="ignore"):
+        secant = f1 / (f1 - f2)
+    # the bracket's two points allow a secant step first
+    t = np.where(np.isfinite(secant), secant, 0.5)
+    while True:
+        d = x2 - x1
+        width = np.abs(d)
+        half = x1 + 0.5 * d
+        active = (width > tol) & (half != x1) & (half != x2)
+        if not active.any():
+            break
+        edge = 0.25 * tol / np.maximum(width, tol)
+        x = np.where(active, x1 + np.minimum(np.maximum(t, edge), 1.0 - edge)
+                     * d, x1)
+        fx = np.asarray(residual(x.reshape(shape)), dtype=float).ravel()
+        # the point replaces the bracket end of its own sign, which becomes
+        # the point dropped
+        same = (fx > 0.0) == (f1 > 0.0)
+        x2, x3 = np.where(same, x2, x1), np.where(same, x1, x2)
+        f2, f3 = np.where(same, f2, f1), np.where(same, f1, f2)
+        x1, f1 = x, fx
+        slow = np.where(np.abs(x2 - x1) <= 0.5 * width, 0.0, slow + 1.0)
+        with np.errstate(all="ignore"):
+            a, b, c = f1 - f2, f3 - f2, x3 - x2
+            xi, phi = (x1 - x2) / c, a / b
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) \
+                & (slow < 3.0)
+            t = np.where(iqi, f1 / b * (f3 / a + (1.0 - c / (x1 - x2)) * f2
+                                        / (b - a)), 0.5)
+    root = 0.5 * (x1 + x2)
     return root.reshape(shape) if shape else float(root[0])
 
 

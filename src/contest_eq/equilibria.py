@@ -14,7 +14,8 @@ roots, each by one checked Newton step from the threshold the sign
 residual formed, and so checks the residual contract and describes every
 root's outcome.  A population of researcher types (a type block) solves
 by the same scan and polish in the funding threshold, given which every
-type best-responds (`solve_typed`).
+type best-responds, all types' best responses at all of a call's
+thresholds in one batch of Chandrupatla brackets (`solve_typed`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    RejectionExclusion, SignalExclusion, SubmissionProfile,
@@ -32,7 +33,8 @@ from .core import (ALWAYS_SUBMIT, NoExclusion, ProfileComponent,
                    _payoff, _signal_density, _upper_mass, _upper_mass_bounds,
                    ban_mass, lifetime_payoff, signal_cutoff,
                    truncated_profile, welfare, win_mass)
-from .distributions import TREE_LEVELS, Mixture, _bisect_root
+from .distributions import (TREE_LEVELS, Mixture, _bisect_root,
+                            _bracket_root)
 
 # Scan grid per the solver design: uniform points on [F^-1(1e-6), Q*),
 # extended leftward geometrically whenever the residual at the left edge
@@ -298,8 +300,9 @@ def _cutoff_interval(params, floor_p=_GRID_FLOOR_P):
 def _scan_roots(values, lo, hi, floor, points, tol):
     """Every root of `values` (a residual taking an array) on a grid of
     `points` over [lo, hi], extended toward `floor` while its left edge
-    shows a smaller root: exact zeros, and each sign change polished by
-    `_secant_polish` below `tol`.  An empty interval raises NoRoot."""
+    shows a smaller root: the first point of each run of exact zeros, and
+    each sign change polished by `_secant_polish` below `tol`.  An empty
+    interval raises NoRoot."""
     if not hi > lo:
         raise NoRoot("the scan interval is empty")
     grid = np.linspace(lo, hi, points)
@@ -312,10 +315,12 @@ def _scan_roots(values, lo, hi, floor, points, tol):
         vals = np.concatenate([ext_vals[:-1], vals])
 
     # a residual that only touches zero at a grid point has its root there,
+    # a run of exact zeros (flat at a corner) one root at its smallest point,
     # and no bracket opens at a zero
+    zero = vals == 0.0
     sign = np.sign(vals)
     brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    return sorted(grid[vals == 0.0].tolist()
+    return sorted(grid[zero & ~np.append(False, zero[:-1])].tolist()
                   + [float(_secant_polish(values, grid[i], grid[i + 1],
                                           vals[i], vals[i + 1], tol))
                      for i in brackets])
@@ -417,14 +422,19 @@ def solve_signal_cutoff(params, sbar_ban):
 
 def _best_responses(params, policy, base, sbar, near=(-math.inf, math.inf)):
     """Optimal stationary entry cutoff of a researcher of quality law
-    `base` against the funding threshold(s) `sbar`, an array in one batch
-    of brackets.  The quality that wins with probability C / (C + V) is the
+    `base` (a `Normal`, a `Mixture` or a `_TypeStack`, a row per type)
+    against the funding threshold(s) `sbar`, an array, in one batch of
+    brackets.  The quality that wins with probability C / (C + V) is the
     free-entry best response and with bans the lower end of a search up
-    past the quality support and the noise (tol 1e-12).  The root is unique
-    (one-shot deviations), so `near`, cutoffs (below, above), replaces each
-    bracket whose ends its signs confirm, all read in one residual call."""
+    past the quality support and the noise, solved to 1e-12 by the
+    bracketed finder (`_bracket_root`).  The root is unique (one-shot
+    deviations), so `near`, cutoffs (below, above), replaces each bracket
+    whose ends its signs confirm, all read in one residual call."""
     s = np.asarray(sbar, dtype=float)
-    start = s - params.noise.quantile(1.0 - params.loss_share)
+    start, hi = np.broadcast_arrays(
+        s - params.noise.quantile(1.0 - params.loss_share),
+        np.maximum(base.support_hint[1], s + 12.0 * params.noise.stddev)
+        + 1.0)
     if not policy.ban_periods:
         return start
     ev = SuccessEvaluation(sbar=s, noise=params.noise)
@@ -433,8 +443,6 @@ def _best_responses(params, policy, base, sbar, near=(-math.inf, math.inf)):
         x = lifetime_payoff(cutoff, ev, params, policy, base)
         return ev.win_prob(cutoff) - policy.indifference(cutoff, x, params)
 
-    hi = np.maximum(base.support_hint[1],
-                    s + 12.0 * params.noise.stddev) + 1.0
     a, b = near[0] - 1e-12, near[1] + 1e-12
     f0, fhi, fa, fb = residual(np.array(np.broadcast_arrays(start, hi, a, b)))
     # a root at `start`, or the intertemporal cost term vanishes there
@@ -444,8 +452,12 @@ def _best_responses(params, policy, base, sbar, near=(-math.inf, math.inf)):
     if not np.all(done | (fhi > 0.0)):
         raise NoRoot("best-response residual never crossed zero")
     ok = (a > start) & (fa < 0.0) & (fb > 0.0)
-    lo, hi, flo = (np.where(ok, *v) for v in ((a, start), (b, hi), (fa, f0)))
-    return np.where(done, start, _bisect_root(residual, lo, hi, flo, 1e-12))
+    lo, hi, flo, fhi = (np.where(ok, *v) for v in
+                        ((a, start), (b, hi), (fa, f0), (fb, fhi)))
+    # a row done at its start takes no step
+    hi = np.where(done, lo, hi)
+    return np.where(done, start, _bracket_root(residual, lo, hi, flo, fhi,
+                                               1e-12))
 
 
 def best_response(profile, params, policy):
@@ -460,27 +472,46 @@ def best_response(profile, params, policy):
 # researcher types
 
 
+class _TypeStack:
+    """A type block's normal quality laws as one law whose share, mean,
+    variance, stddev and support ends are columns, a row per type: it
+    reads as a `Normal` does, so one batch of best responses and one pass
+    of `_type_state` serve every type, each row's floats its law's own."""
+
+    def __init__(self, mixture):
+        (self.share, self.mean, self.variance, self.stddev,
+         *self.support_hint) = np.array(
+            [(w, d.mean, d.variance, d.stddev, *d.support_hint)
+             for w, d in mixture.parts]).T[:, :, None]
+
+    def cdf(self, x):
+        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.stddev)
+
+
 def _type_state(params, policy, cutoffs, sbar):
-    """(gaps, flows, shares, payoffs), a row per type, at the types' cutoffs
-    and funding threshold(s) `sbar`: indifference gaps, the eligible shares
+    """(gaps, flows, shares, payoffs), a row per type and a column per
+    threshold, at the types' cutoffs (a row per type) and funding
+    threshold(s) `sbar`: indifference gaps, the eligible shares
     share / (1 + load), their flow balance, and a last flow row unless all
     are funded (sbar = -inf): the funded mass less the budget."""
-    ev = SuccessEvaluation(sbar=sbar, noise=params.noise)
-    rows, funded = [], -params.budget
-    for (share, law), q in zip(params.quality.parts, cutoffs):
-        F = law.cdf(q)
-        win = _upper_mass(law, q, params.noise, sbar)
-        ban = policy.ban(F, lambda b: ban_mass(q, b, law, params.noise))
-        reject = 1.0 - F - win
-        load = policy.load(reject, ban)
-        a = share / (1.0 + load)
-        x = _payoff(win, reject, policy.payoff_ban(reject, ban, params),
-                    params)
-        rows.append((ev.win_prob(q) - policy.indifference(q, x, params),
-                     share - a * load - a, a, x))
-        funded = funded + a * win
-    gaps, flows, shares, payoffs = map(np.array, zip(*rows))
+    laws, noise = _TypeStack(params.quality), params.noise
+    q = np.asarray(cutoffs, dtype=float).reshape(len(laws.share), -1)
+    F = laws.cdf(q)
+    win = _upper_mass(laws, q, noise, sbar)
+    ban = policy.ban(F, lambda b: ban_mass(q, b, laws, noise))
+    reject = 1.0 - F - win
+    load = policy.load(reject, ban)
+    shares = laws.share / (1.0 + load)
+    payoffs = _payoff(win, reject, policy.payoff_ban(reject, ban, params),
+                      params)
+    ev = SuccessEvaluation(sbar=sbar, noise=noise)
+    gaps = ev.win_prob(q) - policy.indifference(q, payoffs, params)
+    flows = laws.share - shares * load - shares
     if np.all(np.asarray(sbar) > -math.inf):
+        # the types' funded masses summed in order
+        funded = -params.budget
+        for row in shares * win:
+            funded = funded + row
         flows = np.concatenate([flows, [funded]])
     return gaps, flows, shares, payoffs
 
@@ -499,20 +530,24 @@ def solve_typed(params, policy):
     its eligible share is closed form (`_type_state`), which leaves one
     clearing residual, k less the funded mass, for the pooled scan and
     polish (`_scan_roots`) on the free-entry image of the pooled cutoff
-    interval, s = cutoff + G^-1(1 - C / (C + V)).  all_roots holds every
-    root's cutoffs, smallest s first; the outcome is the first, checked at
-    its s (indifference 1e-8, flow balance and clearing 1e-9, a dominant
-    type's cutoff weakly higher) or NoConvergence.  If the budget covers
-    all eligible at full entry, they apply and win (corner=True).
+    interval, s = cutoff + G^-1(1 - C / (C + V)).  The types stack into
+    one law of a row per type (`_TypeStack`), so each residual call solves
+    every type's best response at every threshold in one bracketed batch
+    (`_best_responses`), and one pass gives their shares.  all_roots holds
+    every root's cutoffs, smallest s first; the outcome is the first,
+    checked at its s (indifference 1e-8, flow balance and clearing 1e-9, a
+    dominant type's cutoff weakly higher) or NoConvergence.  If the budget
+    covers all eligible at full entry, they apply and win (corner=True).
     """
     if not isinstance(params.quality, Mixture):
         raise ValueError("the typed solver needs a type block")
     types = params.quality.parts
     cutoffs, sbar = (ALWAYS_SUBMIT,) * len(types), -math.inf
     all_roots = (cutoffs,)
-    gaps, flows, shares, payoffs = _type_state(params, policy, cutoffs, sbar)
-    corner = sum(shares) <= params.budget
+    state = _type_state(params, policy, cutoffs, sbar)
+    corner = sum(state[2][:, 0]) <= params.budget
     if not corner:
+        laws = _TypeStack(params.quality)
         # a cutoff rises with the threshold: those solved on either side
         # bracket it, ever narrower as the polish's windows nest
         solved = [np.array([-math.inf, math.inf]),
@@ -520,9 +555,8 @@ def solve_typed(params, policy):
 
         def cutoffs_at(s):
             j = np.searchsorted(solved[0], s)
-            q = np.array([_best_responses(params, policy, law, s,
-                                          (known[j - 1], known[j]))
-                          for (_, law), known in zip(types, solved[1])])
+            q = _best_responses(params, policy, laws, s,
+                                (solved[1][:, j - 1], solved[1][:, j]))
             s, q_all = np.append(solved[0], s), np.hstack([solved[1], q])
             order = np.argsort(s)
             solved[:] = s[order], q_all[:, order]
@@ -541,8 +575,8 @@ def solve_typed(params, policy):
         q = cutoffs_at(roots)
         all_roots = tuple(tuple(map(float, row)) for row in q.T)
         cutoffs, sbar = all_roots[0], float(roots[0])
-        gaps, flows, shares, payoffs = (
-            v[:, 0] for v in _type_state(params, policy, q, roots))
+        state = _type_state(params, policy, q, roots)
+    gaps, flows, shares, payoffs = (v[:, 0] for v in state)
     shares = tuple(map(float, shares))
     profile = SubmissionProfile(tuple(
         ProfileComponent(law, q, min(a / share, 1.0), share)

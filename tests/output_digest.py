@@ -2,18 +2,26 @@
 
     python3 tests/output_digest.py <checkout>
 
-Imports `contest_eq` from `<checkout>/src` and prints two sha256 lines:
+Imports `contest_eq` from `<checkout>/src` and prints five sha256 lines,
+pooled and typed outputs apart, so that a change to one solver can show
+that the other's outputs did not move:
 
-outcomes  seeded outcomes over the valid parameter box, a quarter of the
-          draws two-type, each solved under free entry, one-period bans, a
-          t-period ban and a signal bar; model B's equation curves,
-          steady-state profiles and best responses under the same four
-          policies; a small seeded simulation and replay on a pooled and a
-          typed model.
-cli       the bytes of the five commands on the four shipped configs
-          (`sweep` over V = 20, 50 where a config has no [sweep];
-          `simulate` at seed 7, 5,000 agents, 60 periods, burn-in 10), with
-          each command's exit status.
+outcomes pooled  seeded outcomes over the valid parameter box, three
+                 quarters of the draws, each solved under free entry,
+                 one-period bans, a t-period ban and a signal bar; model
+                 B's equation curves and steady-state profiles under the
+                 same four policies; a small seeded simulation and replay
+                 on model B.
+outcomes typed   the other quarter of the box draws, two-type models under
+                 the same four policies; the same simulation and replay on
+                 the shipped two-type model.
+best responses   model B's best responses to three steady-state profiles
+                 under each of the four policies.
+cli pooled       the bytes of the five commands on the three shipped pooled
+                 configs (`sweep` over V = 20, 50 where a config has no
+                 [sweep]; `simulate` at seed 7, 5,000 agents, 60 periods,
+                 burn-in 10), with each command's exit status.
+cli typed        the same on the shipped two-type config.
 
 Run it on two checkouts and compare the lines.  Typed models are built only
 from config text through `cli.parse_config`, so the script reads no model
@@ -21,7 +29,7 @@ field a refactor may rename.  Floats are hashed by their bytes, quality and
 noise laws by each part's (weight, mean, variance), and errors by their
 class and message; no value is hashed by its `repr`.  Outcomes are hashed
 field by field, so a change to `EquilibriumOutcome`'s fields changes the
-first line.  Not a test module: pytest does not collect it.
+outcome lines.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ import numpy as np
 
 DRAWS = 300
 SEED = 12345
-CONFIGS = ("free_entry", "one_period_bans", "ban_length", "two_type")
+POOLED_CONFIGS = ("free_entry", "one_period_bans", "ban_length")
+TYPED_CONFIGS = ("two_type",)
 COMMANDS = ("solve", "sweep", "simulate", "compare", "figures")
 SIMULATE_SETS = ("sim.seed=7", "sim.n_agents=5000", "sim.n_periods=60",
                  "sim.burn_in=10")
@@ -134,10 +143,13 @@ def box_model(u):
 
 
 def outcomes_digest(ce, cli, checkout):
-    d = Digest(ce, cli._SOLVER_ERRORS)
+    """(pooled, typed, best-response) digests of the seeded outcomes."""
+    pooled, typed, responses = (Digest(ce, cli._SOLVER_ERRORS)
+                                for _ in range(3))
     rng = np.random.default_rng(SEED)
     for i, u in enumerate(rng.random((DRAWS, 12))):
         model, mu, var_q, periods, sbar = box_model(u)
+        d = typed if i % 4 == 3 else pooled
         if i % 4 == 3:  # two types of one variance, the first stronger
             share = 0.1 + 0.8 * u[10]
             model.update(lambda_H=share,
@@ -159,18 +171,20 @@ def outcomes_digest(ce, cli, checkout):
                        b.first_best_cutoff - 1e-9, 200)
     for policy in (ce.NoExclusion(), ce.RejectionExclusion(1),
                    ce.RejectionExclusion(5), ce.SignalExclusion(0.0)):
-        d.tag(f"model B {policy.regime}")
-        d.call(ce.equilibrium_curves, b, policy, grid)
+        pooled.tag(f"model B {policy.regime}")
+        responses.tag(f"model B {policy.regime}")
+        pooled.call(ce.equilibrium_curves, b, policy, grid)
         for cutoff in (-1.0, 0.5, 2.0):
-            profile = d.call(ce.steady_state_profile, b, cutoff, policy)
-            d.call(ce.best_response, profile, b, policy)
+            profile = pooled.call(ce.steady_state_profile, b, cutoff, policy)
+            responses.call(ce.best_response, profile, b, policy)
 
     # a seeded simulation and replay, pooled and typed
     two_type = os.path.join(checkout, "configs", "two_type.ini")
     with open(two_type) as fh:
-        typed = cli.parse_config(fh.read())
-    for params, policy in ((b, ce.RejectionExclusion(1)),
-                           (typed.params, typed.policy)):
+        typed_config = cli.parse_config(fh.read())
+    for d, params, policy in (
+            (pooled, b, ce.RejectionExclusion(1)),
+            (typed, typed_config.params, typed_config.policy)):
         out = ce.solve(params, policy)
         config = ce.SimConfig(seed=11, policy=policy, cutoffs=out.cutoffs,
                               n_agents=2000, n_periods=60, burn_in=10,
@@ -180,13 +194,13 @@ def outcomes_digest(ce, cli, checkout):
         d.call(ce.empirical_best_response, config, params,
                np.linspace(out.cutoffs[-1] - 0.5, out.cutoffs[-1] + 0.5, 11),
                result, 200, 60)
-    return d.h.hexdigest()
+    return tuple(d.h.hexdigest() for d in (pooled, typed, responses))
 
 
-def cli_digest(ce, cli, checkout):
+def cli_digest(ce, cli, checkout, configs):
     d = Digest(ce, ())
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CONFIGS:
+        for name in configs:
             path = os.path.join(checkout, "configs", name + ".ini")
             with open(path) as fh:
                 has_sweep = "[sweep]" in fh.read()
@@ -225,8 +239,13 @@ def main(argv):
     import contest_eq.cli as cli
     if not ce.__file__.startswith(os.path.join(checkout, "src")):
         sys.exit(f"contest_eq imported from {ce.__file__}")
-    print(f"outcomes {outcomes_digest(ce, cli, checkout)}")
-    print(f"cli      {cli_digest(ce, cli, checkout)}")
+    pooled, typed, responses = outcomes_digest(ce, cli, checkout)
+    for label, digest in (
+            ("outcomes pooled", pooled), ("outcomes typed", typed),
+            ("best responses", responses),
+            ("cli pooled", cli_digest(ce, cli, checkout, POOLED_CONFIGS)),
+            ("cli typed", cli_digest(ce, cli, checkout, TYPED_CONFIGS))):
+        print(f"{label:15s} {digest}")
 
 
 if __name__ == "__main__":

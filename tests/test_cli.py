@@ -574,7 +574,7 @@ SIMULATE_SHA256 = {
         "c9eb3352fc0d348af02e817b0948a1275ab0a6acfee46ae52193be59373a3dc0"),
     "two_type.ini": (
         "9e368098ec92735725f3139a5219bc0bfd1d17c7c89194347aecfd78d5ee2ec2",
-        "c8ce7f6097ab9e56ef70bfd6f399712dae1b5d0254a3f8083a508a0a6cc2a7ef"),
+        "9463b06c701467c9531c4c0a4893e0428fd80920652b97f1947ae7e93456a507"),
 }
 
 

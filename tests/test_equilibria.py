@@ -351,6 +351,60 @@ def test_secant_polish_ends_in_a_bracket_below_the_tolerance(lo, width, at,
     assert len(batches) <= math.ceil(steps / distributions.TREE_LEVELS) + 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-12, 1e3), st.floats(0.0, 1.0),
+       st.floats(-15.0, 1.0), st.sampled_from(["step", "smooth"]),
+       st.sampled_from([1.0, -1.0]))
+# near 1e6 one float spacing exceeds the tolerance: points round to the ends
+@example(1e6, 1.0, 0.3, -12.0, "step", 1.0)
+@example(1e6, 1.0, 0.3, -12.0, "smooth", -1.0)
+def test_bracket_root_ends_in_a_bracket_below_the_tolerance(lo, width, at,
+                                                            log_tol, kind,
+                                                            sign):
+    # the bracketed finder returns the midpoint of a final bracket narrower
+    # than the tolerance, whose ends differ in sign, within four times the
+    # bisection's steps; each row of a batch is its one-row call
+    hi = lo + width
+    root = lo + at * width
+    tol = width * 10.0 ** log_tol
+
+    def scalar(q):
+        if kind == "step":
+            return sign * (-1.0 if q < root else 1.0)
+        return sign * (q - root) * (1.0 + (q - lo) * (q - lo))
+
+    points = []
+
+    def batched(qs):
+        points.append(float(qs))
+        return np.array(scalar(float(qs)))
+
+    flo, fhi = scalar(lo), scalar(hi)
+    assume((flo > 0.0) != (fhi > 0.0))
+    found = distributions._bracket_root(batched, lo, hi, flo, fhi, tol)
+    # the final bracket: two evaluated points adjacent among all evaluated
+    # ones (the midpoint of adjacent floats rounds to one of them)
+    ends = sorted({lo, hi, *points})
+    a, b = next((a, b) for a, b in zip(ends, ends[1:])
+                if 0.5 * (a + b) == found
+                and (scalar(a) > 0.0) != (scalar(b) > 0.0))
+    # up to the rounding of the points
+    assert b - a <= tol * (1.0 + 1e-12) + np.spacing(abs(a) + abs(b))
+    steps = math.ceil(math.log2(max(hi - lo, tol) / tol))
+    assert len(points) <= 4 * steps + 2
+
+    # a batch of brackets of other widths and of either sign at the lower
+    # end, some of them frozen from the start: each row is its own call
+    los = np.array([lo, lo - 3.0 * width, root - 0.1 * width, lo])
+    his = np.array([hi, hi + width, root + 50.0 * width, lo])
+    vector = np.vectorize(scalar)
+    rows = distributions._bracket_root(vector, los, his, vector(los),
+                                       vector(his), tol)
+    for row, a, b in zip(rows, los, his):
+        assert row == distributions._bracket_root(
+            batched, a, b, scalar(a), scalar(b), tol)
+
+
 def test_exclusion_solve_makes_three_sign_calls_and_one_clearing_call(
         model_v50, monkeypatch):
     # the root search walks the sign residual: one scan call and two secant
@@ -481,6 +535,32 @@ def test_a_residual_touching_zero_on_the_scan_grid_gives_one_root(
     assert roots == [zero]
 
 
+def test_a_run_of_exact_zeros_on_the_scan_grid_gives_one_root(model_v50):
+    # a residual flat at exactly zero up to a grid point has one root there,
+    # the run's smallest point, and none at the rest of the run
+    roots, zero = _scan_with_zero_at_grid_point(
+        model_v50, lambda x: np.minimum(x, 0.0))
+    lo = equilibria._cutoff_interval(model_v50)[0]
+    assert roots == [lo]
+    assert lo < zero
+
+
+def test_typed_flat_zero_below_the_full_entry_mass_gives_one_root():
+    # k one float below the full-entry eligible mass share / 2 + (1 - share)
+    # / 2 of a signal bar at +inf: the budget is over-subscribed, and the
+    # clearing residual rounds to exactly zero on the first two points of the
+    # scan's left extension, which make one root, not two
+    params = normal_model(var_signal=0.0023, reject_cost=1.0,
+                          win_value=4.5e4, budget=0.49999999999999994,
+                          discount=0.5,
+                          types=((0.175, Normal(0.5, 1.0)),
+                                 (0.825, Normal(0.0, 1.0))))
+    out = solve(params, SignalExclusion(INF))
+    assert not out.corner
+    assert len(out.all_roots) == 1
+    assert out.residual < 1e-8 and out.eligibility_residual < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # signal-threshold bans
 
@@ -561,6 +641,30 @@ def test_two_type_matches_reference(two_type_outcome):
 
 def test_two_type_stronger_type_is_more_selective(two_type_outcome):
     assert two_type_outcome.cutoffs[0] > two_type_outcome.cutoffs[1]
+
+
+# orthant evaluations of one typed solve of the two-type model: each
+# threshold batch solves every type's best response by the bracketed
+# finder at once; one bisection tree walk per type cost 124 calls over
+# 17,634 elements at t = 1, 124 over 17,306 at t = 5 and 248 over 35,508
+# with a signal bar.  The bounds are half those calls and a quarter of
+# those elements.
+@pytest.mark.parametrize("policy, calls, elements", [
+    (RejectionExclusion(1), 62, 4_408), (RejectionExclusion(5), 62, 4_326),
+    (SignalExclusion(0.0), 124, 8_877)], ids=["t1", "t5", "signal_0"])
+def test_typed_solve_evaluates_few_orthants(two_type_params, monkeypatch,
+                                            policy, calls, elements):
+    real = core._normal_orthant
+    evaluated = []
+
+    def counted(h, k, rho, r):
+        evaluated.append(np.broadcast(h, k).size)
+        return real(h, k, rho, r)
+
+    monkeypatch.setattr(core, "_normal_orthant", counted)
+    solve(two_type_params, policy)
+    assert len(evaluated) <= calls
+    assert sum(evaluated) <= elements
 
 
 def test_two_type_shares_solve_flow_balance(two_type_params, two_type_outcome):

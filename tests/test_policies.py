@@ -441,6 +441,35 @@ def _checked_tree_calls(module):
         yield roots
 
 
+@contextlib.contextmanager
+def _checked_bracket_calls(module):
+    """Route `module`'s bracketed root finds through a check of every
+    residual call the finder makes, and of one nine-point batch across each
+    starting bracket: each entry of an array call must equal a one-point
+    call at its point bit for bit, and the root must be the one found with
+    one-point calls.  Yields the list of roots found."""
+    finder = distributions._bracket_root
+    roots = []
+
+    def checked_finder(residual, lo, hi, flo, fhi, tol):
+        def checked(qs):
+            batch = np.asarray(residual(qs), dtype=float)
+            singles = np.array([residual(float(q)) for q in np.ravel(qs)],
+                               dtype=float).reshape(batch.shape)
+            assert batch.tobytes() == singles.tobytes()
+            return batch
+
+        checked(np.linspace(lo, hi, 9))
+        root = finder(checked, lo, hi, flo, fhi, tol)
+        assert root == finder(np.vectorize(lambda q: residual(float(q))),
+                              lo, hi, flo, fhi, tol)
+        roots.append(root)
+        return root
+
+    with mock.patch.object(module, "_bracket_root", checked_finder):
+        yield roots
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(models(), st.just(mixture_model)), policies, unit, unit)
 def test_best_response_residual_rows_equal_single_calls(params, policy, u,
@@ -451,7 +480,7 @@ def test_best_response_residual_rows_equal_single_calls(params, policy, u,
     cutoff = params.quality.quantile(u * (1.0 - k / elig))
     profile = truncated_profile(params.quality, cutoff, elig)
     assume(profile.volume() > k + 1e-9)
-    with _checked_tree_calls(equilibria) as roots:
+    with _checked_bracket_calls(equilibria) as roots:
         try:
             best_response(profile, params, policy)
         except NoRoot:
