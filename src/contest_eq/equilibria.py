@@ -488,13 +488,13 @@ class _TypeStack:
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.stddev)
 
 
-def _type_state(params, policy, cutoffs, sbar):
+def _type_state(params, policy, laws, cutoffs, sbar):
     """(gaps, flows, shares, payoffs), a row per type and a column per
-    threshold, at the types' cutoffs (a row per type) and funding
-    threshold(s) `sbar`: indifference gaps, the eligible shares
-    share / (1 + load), their flow balance, and a last flow row unless all
-    are funded (sbar = -inf): the funded mass less the budget."""
-    laws, noise = _TypeStack(params.quality), params.noise
+    threshold, of the type stack `laws` at the types' cutoffs (a row per
+    type) and funding threshold(s) `sbar`: indifference gaps, the eligible
+    shares share / (1 + load), their flow balance, and a last flow row
+    unless all are funded (sbar = -inf): the funded mass less the budget."""
+    noise = params.noise
     q = np.asarray(cutoffs, dtype=float).reshape(len(laws.share), -1)
     F = laws.cdf(q)
     win = _upper_mass(laws, q, noise, sbar)
@@ -544,10 +544,10 @@ def solve_typed(params, policy):
     types = params.quality.parts
     cutoffs, sbar = (ALWAYS_SUBMIT,) * len(types), -math.inf
     all_roots = (cutoffs,)
-    state = _type_state(params, policy, cutoffs, sbar)
+    laws = _TypeStack(params.quality)
+    state = _type_state(params, policy, laws, cutoffs, sbar)
     corner = sum(state[2][:, 0]) <= params.budget
     if not corner:
-        laws = _TypeStack(params.quality)
         # a cutoff rises with the threshold: those solved on either side
         # bracket it, ever narrower as the polish's windows nest
         solved = [np.array([-math.inf, math.inf]),
@@ -567,7 +567,8 @@ def solve_typed(params, policy):
         lo, hi, floor = _cutoff_interval(
             params, _GRID_FLOOR_P * (1.0 - params.budget)) + offset
         roots = np.array(_scan_roots(
-            lambda s: -_type_state(params, policy, cutoffs_at(s), s)[1][-1],
+            lambda s: -_type_state(params, policy, laws, cutoffs_at(s),
+                                   s)[1][-1],
             lo, hi, floor - 60.0 * params.noise.stddev, _TYPED_GRID_POINTS,
             _ROOT_TOL))
         if not roots.size:
@@ -575,7 +576,7 @@ def solve_typed(params, policy):
         q = cutoffs_at(roots)
         all_roots = tuple(tuple(map(float, row)) for row in q.T)
         cutoffs, sbar = all_roots[0], float(roots[0])
-        state = _type_state(params, policy, q, roots)
+        state = _type_state(params, policy, laws, q, roots)
     gaps, flows, shares, payoffs = (v[:, 0] for v in state)
     shares = tuple(map(float, shares))
     profile = SubmissionProfile(tuple(

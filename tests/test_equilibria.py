@@ -856,7 +856,9 @@ def _dense_typed_roots(params, policy, points=2000):
     def residual(s):
         q = np.array([equilibria._best_responses(params, policy, law, s)
                       for _, law in params.quality.parts])
-        return -equilibria._type_state(params, policy, q, s)[1][-1]
+        return -equilibria._type_state(params, policy, laws, q, s)[1][-1]
+
+    laws = equilibria._TypeStack(params.quality)
 
     offset = params.noise.quantile(1.0 - params.loss_share)
     lo, hi, floor = equilibria._cutoff_interval(
